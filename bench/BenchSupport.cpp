@@ -90,22 +90,23 @@ ipra::bench::runAllConfigs(const std::vector<SourceFile> &Sources) {
                            const ProfileData *Profile) {
     ConfigRun Out;
     Out.Config = Name;
-    auto R = compileAndRun(Sources, Config, Profile);
-    if (!R.Compile.Success) {
+    BuildResult R = Pipeline(Config).build(Sources, Profile);
+    if (!R.ok()) {
       std::fprintf(stderr, "[%s] compile failed: %s\n", Name.c_str(),
-                   R.Compile.ErrorText.c_str());
+                   R.text().c_str());
       return Out;
     }
-    if (!R.Run.Halted) {
+    RunResult Run = runExecutable(R.Exe);
+    if (!Run.Halted) {
       std::fprintf(stderr, "[%s] run failed: %s%s\n", Name.c_str(),
-                   R.Run.Trap.c_str(),
-                   R.Run.OutOfFuel ? " (out of fuel)" : "");
+                   Run.Trap.c_str(),
+                   Run.OutOfFuel ? " (out of fuel)" : "");
       return Out;
     }
     Out.Ok = true;
-    Out.Stats = R.Run.Stats;
-    Out.Output = R.Run.Output;
-    Out.Analyzer = R.Compile.Stats;
+    Out.Stats = Run.Stats;
+    Out.Output = Run.Output;
+    Out.Analyzer = R.Analyzer;
     return Out;
   };
 
@@ -115,9 +116,10 @@ ipra::bench::runAllConfigs(const std::vector<SourceFile> &Sources) {
     return Runs;
 
   // Profile for columns B and F: re-run the baseline to collect it.
-  auto Profiled =
-      compileAndRun(Sources, PipelineConfig::baseline(), nullptr);
-  ProfileData Profile = Profiled.Run.Profile;
+  BuildResult Profiled = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult ProfiledRun =
+      Profiled.ok() ? runExecutable(Profiled.Exe) : RunResult();
+  ProfileData Profile = ProfiledRun.Profile;
 
   struct Named {
     const char *Name;

@@ -55,14 +55,15 @@ AblationResult runConfig(const std::vector<SourceFile> &Sources,
   Config.CallerSavePropagation = CallerSave;
   Config.Webs.SplitSparseWebs = Split;
   Config.Webs.RemergeWebs = Remerge;
-  auto R = compileAndRun(Sources, Config);
+  BuildResult R = Pipeline(Config).build(Sources);
+  RunResult Run = R.ok() ? runExecutable(R.Exe) : RunResult();
   AblationResult Out;
-  if (!R.Compile.Success || !R.Run.Halted)
+  if (!R.ok() || !Run.Halted)
     return Out;
-  Out.Improvement = improvementPct(BaseCycles, R.Run.Stats.Cycles);
+  Out.Improvement = improvementPct(BaseCycles, Run.Stats.Cycles);
   ProgramDatabase DB;
   std::string Error;
-  if (ProgramDatabase::deserialize(R.Compile.DatabaseFile, DB, Error))
+  if (ProgramDatabase::deserialize(R.DatabaseFile, DB, Error))
     for (const auto &[Name, Dir] : DB.procs())
       Out.FreeGrants += static_cast<int>(pr32::maskCount(Dir.Free));
   return Out;
@@ -77,12 +78,13 @@ void printTable() {
               "C+merge", "C+all", "FREE grants (C / relax / free)");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-    if (!Base.Run.Halted) {
+    BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+    RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+    if (!BaseRun.Halted) {
       std::printf("  %-10s  <baseline failed>\n", P.Name.c_str());
       continue;
     }
-    long long BaseCycles = Base.Run.Stats.Cycles;
+    long long BaseCycles = BaseRun.Stats.Cycles;
     AblationResult C = runConfig(Sources, false, false, BaseCycles);
     AblationResult Relax = runConfig(Sources, true, false, BaseCycles);
     AblationResult Free = runConfig(Sources, false, true, BaseCycles);
@@ -112,8 +114,8 @@ void BM_ConfigCBothExtensions_protoc(benchmark::State &State) {
   Config.RelaxWebAvail = true;
   Config.ImprovedFreeSets = true;
   for (auto _ : State) {
-    auto R = compileProgram(Sources, Config);
-    benchmark::DoNotOptimize(R.Success);
+    BuildResult R = Pipeline(Config).build(Sources);
+    benchmark::DoNotOptimize(R.ok());
   }
 }
 BENCHMARK(BM_ConfigCBothExtensions_protoc);

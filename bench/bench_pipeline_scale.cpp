@@ -6,9 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The repo's first scaling benchmark: both compiler phases are
-/// independent per module (the paper's Figure 1), so the pipeline
-/// parallelizes over modules and functions while the program analyzer
-/// stays sequential. This harness sweeps 1/2/4/8 worker threads over
+/// independent per module (the paper's Figure 1), so the pipeline runs
+/// one job per module while the program analyzer stays sequential. This harness sweeps 1/2/4/8 worker threads over
 /// the bench/programs corpus, prints the end-to-end speedup per thread
 /// count, and verifies that every thread count produced byte-identical
 /// objects and program database (the determinism contract).
@@ -42,9 +41,9 @@ double compileCorpusMs(const std::vector<std::vector<SourceFile>> &Corpus,
   Config.NumThreads = Threads;
   auto Start = std::chrono::steady_clock::now();
   for (const auto &Sources : Corpus) {
-    CompileResult R = compileProgram(Sources, Config);
-    if (!R.Success) {
-      std::fprintf(stderr, "compile failed: %s\n", R.ErrorText.c_str());
+    BuildResult R = Pipeline(Config).build(Sources);
+    if (!R.ok()) {
+      std::fprintf(stderr, "compile failed: %s\n", R.text().c_str());
       std::exit(1);
     }
     if (Artifacts) {

@@ -52,8 +52,9 @@ void printTable() {
   std::printf("\n");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-    if (!Base.Run.Halted) {
+    BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+    RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+    if (!BaseRun.Halted) {
       std::printf("  %-10s  <baseline failed>\n", P.Name.c_str());
       continue;
     }
@@ -61,14 +62,15 @@ void printTable() {
     for (int K : Ks) {
       PipelineConfig Config = PipelineConfig::configC();
       Config.WebPool = poolOf(K);
-      auto R = compileAndRun(Sources, Config);
-      if (!R.Run.Halted || R.Run.Output != Base.Run.Output) {
+      BuildResult R = Pipeline(Config).build(Sources);
+      RunResult Run = R.ok() ? runExecutable(R.Exe) : RunResult();
+      if (!Run.Halted || Run.Output != BaseRun.Output) {
         std::printf(" %9s", "fail");
         continue;
       }
       std::printf(" %9.1f",
-                  improvementPct(Base.Run.Stats.Cycles,
-                                 R.Run.Stats.Cycles));
+                  improvementPct(BaseRun.Stats.Cycles,
+                                 Run.Stats.Cycles));
     }
     std::printf("\n");
   }
@@ -83,8 +85,8 @@ void BM_PoolSweepCompile_war(benchmark::State &State) {
   PipelineConfig Config = PipelineConfig::configC();
   Config.WebPool = poolOf(12);
   for (auto _ : State) {
-    auto R = compileProgram(Sources, Config);
-    benchmark::DoNotOptimize(R.Success);
+    BuildResult R = Pipeline(Config).build(Sources);
+    benchmark::DoNotOptimize(R.ok());
   }
 }
 BENCHMARK(BM_PoolSweepCompile_war);

@@ -64,8 +64,8 @@ void printTable() {
 void BM_PipelineBaseline_dhry(benchmark::State &State) {
   auto Sources = loadProgram("dhry");
   for (auto _ : State) {
-    auto R = compileProgram(Sources, PipelineConfig::baseline());
-    benchmark::DoNotOptimize(R.Success);
+    BuildResult R = Pipeline(PipelineConfig::baseline()).build(Sources);
+    benchmark::DoNotOptimize(R.ok());
   }
 }
 BENCHMARK(BM_PipelineBaseline_dhry);
@@ -73,8 +73,8 @@ BENCHMARK(BM_PipelineBaseline_dhry);
 void BM_PipelineConfigC_dhry(benchmark::State &State) {
   auto Sources = loadProgram("dhry");
   for (auto _ : State) {
-    auto R = compileProgram(Sources, PipelineConfig::configC());
-    benchmark::DoNotOptimize(R.Success);
+    BuildResult R = Pipeline(PipelineConfig::configC()).build(Sources);
+    benchmark::DoNotOptimize(R.ok());
   }
 }
 BENCHMARK(BM_PipelineConfigC_dhry);

@@ -58,7 +58,7 @@ void printTable() {
 
 void BM_SimulateBaseline_fgrep(benchmark::State &State) {
   auto Sources = loadProgram("fgrep");
-  auto Compiled = compileProgram(Sources, PipelineConfig::baseline());
+  BuildResult Compiled = Pipeline(PipelineConfig::baseline()).build(Sources);
   for (auto _ : State) {
     auto R = runExecutable(Compiled.Exe);
     benchmark::DoNotOptimize(R.Stats.Cycles);

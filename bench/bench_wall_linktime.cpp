@@ -50,16 +50,19 @@ void printTable() {
               "C", "Wall", "Wall+pf", "promoted", "rewrites", "peephole");
   for (const ProgramInfo &P : programList()) {
     auto Sources = loadProgram(P.Name);
-    auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-    if (!Base.Run.Halted) {
+    BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+    RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+    if (!BaseRun.Halted) {
       std::printf("  %-10s  <baseline failed>\n", P.Name.c_str());
       continue;
     }
-    long long BaseCycles = Base.Run.Stats.Cycles;
+    long long BaseCycles = BaseRun.Stats.Cycles;
 
-    auto TwoPass = compileAndRun(Sources, PipelineConfig::configC());
-    double CPct = TwoPass.Run.Halted
-                      ? improvementPct(BaseCycles, TwoPass.Run.Stats.Cycles)
+    BuildResult TwoPass = Pipeline(PipelineConfig::configC()).build(Sources);
+    RunResult TwoPassRun =
+        TwoPass.ok() ? runExecutable(TwoPass.Exe) : RunResult();
+    double CPct = TwoPassRun.Halted
+                      ? improvementPct(BaseCycles, TwoPassRun.Stats.Cycles)
                       : -999.0;
 
     auto Wall = compileWallStyle(Sources);
@@ -69,7 +72,7 @@ void printTable() {
       continue;
     }
     RunResult WallRun = runExecutable(Wall.Exe, 2'000'000'000);
-    if (!WallRun.Halted || WallRun.Output != Base.Run.Output) {
+    if (!WallRun.Halted || WallRun.Output != BaseRun.Output) {
       std::printf("  %-10s | %8.1f  <wall output mismatch>\n",
                   P.Name.c_str(), CPct);
       continue;
@@ -78,12 +81,12 @@ void printTable() {
     // [Wall 86] with a profile: counts weighted by procedure
     // invocations from the baseline run (gprof-style bootstrap).
     LinkAllocOptions Profiled;
-    Profiled.InvocationCounts = &Base.Run.Profile.CallCounts;
+    Profiled.InvocationCounts = &BaseRun.Profile.CallCounts;
     auto WallPf = compileWallStyle(Sources, Profiled);
     double WallPfPct = -999.0;
     if (WallPf.Success) {
       RunResult R = runExecutable(WallPf.Exe, 2'000'000'000);
-      if (R.Halted && R.Output == Base.Run.Output)
+      if (R.Halted && R.Output == BaseRun.Output)
         WallPfPct = improvementPct(BaseCycles, R.Stats.Cycles);
     }
 
@@ -124,10 +127,10 @@ void printDeltaReanalysis() {
     std::vector<ModuleSummary> Mods;
     bool Ok = true;
     for (const SourceFile &S : Sources) {
-      Phase1Result P1 = runPhase1(S, Config);
+      SummaryResult P1 = Pipeline(Config).compileSummary(S);
       ModuleSummary MS;
       std::string Err;
-      if (!P1.Success || !readSummary(P1.SummaryText, MS, Err)) {
+      if (!P1.ok() || !readSummary(P1.SummaryText, MS, Err)) {
         Ok = false;
         break;
       }

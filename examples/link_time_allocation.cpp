@@ -76,12 +76,15 @@ int main() {
                                      {"main.mc", MainModule}};
 
   // --- Reference points: level-2 baseline and the two-pass analyzer. ---
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  if (!Base.Run.Halted) {
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+  if (!BaseRun.Halted) {
     std::fprintf(stderr, "baseline failed\n");
     return 1;
   }
-  auto TwoPass = compileAndRun(Sources, PipelineConfig::configC());
+  BuildResult TwoPass = Pipeline(PipelineConfig::configC()).build(Sources);
+  RunResult TwoPassRun =
+      TwoPass.ok() ? runExecutable(TwoPass.Exe) : RunResult();
 
   // --- Step 1: baseline modules with a bank reserved for the linker. ---
   LinkAllocOptions Options; // ReserveBank defaults to C's web registers.
@@ -92,9 +95,9 @@ int main() {
   std::vector<SourceFile> WithRuntime = Sources;
   WithRuntime.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
   for (const SourceFile &Src : WithRuntime) {
-    Phase2Result P2 = runPhase2(Src, "", Cooperating);
-    if (!P2.Success) {
-      std::fprintf(stderr, "%s\n", P2.ErrorText.c_str());
+    ObjectResult P2 = Pipeline(Cooperating).compileObject(Src, "");
+    if (!P2.ok()) {
+      std::fprintf(stderr, "%s\n", P2.text().c_str());
       return 1;
     }
     ObjectFile Obj;
@@ -129,23 +132,23 @@ int main() {
     return 1;
   }
   RunResult R = runExecutable(Linked.Exe, 500'000'000);
-  if (!R.Halted || R.Output != Base.Run.Output) {
+  if (!R.Halted || R.Output != BaseRun.Output) {
     std::fprintf(stderr, "behaviour mismatch after rewriting!\n");
     return 1;
   }
 
   std::printf("\noutput identical to the baseline (%s",
-              Base.Run.Output.substr(0, Base.Run.Output.find('\n')).c_str());
+              BaseRun.Output.substr(0, BaseRun.Output.find('\n')).c_str());
   std::printf("...), cycle counts:\n");
-  std::printf("  level-2 baseline:    %lld\n", Base.Run.Stats.Cycles);
+  std::printf("  level-2 baseline:    %lld\n", BaseRun.Stats.Cycles);
   std::printf("  [Wall 86] link-time: %lld  (%.1f%% better)\n",
               R.Stats.Cycles,
-              100.0 * (Base.Run.Stats.Cycles - R.Stats.Cycles) /
-                  Base.Run.Stats.Cycles);
+              100.0 * (BaseRun.Stats.Cycles - R.Stats.Cycles) /
+                  BaseRun.Stats.Cycles);
   std::printf("  two-pass config C:   %lld  (%.1f%% better)\n",
-              TwoPass.Run.Stats.Cycles,
-              100.0 * (Base.Run.Stats.Cycles - TwoPass.Run.Stats.Cycles) /
-                  Base.Run.Stats.Cycles);
+              TwoPassRun.Stats.Cycles,
+              100.0 * (BaseRun.Stats.Cycles - TwoPassRun.Stats.Cycles) /
+                  BaseRun.Stats.Cycles);
   std::printf("\nThe two-pass analyzer wins because it sees what the\n"
               "linker cannot: loop frequencies, reference regions (webs),\n"
               "and the cluster structure that moves spill code.\n");

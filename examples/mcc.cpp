@@ -512,13 +512,13 @@ int main(int argc, char **argv) {
     ProfileData ClientProfile;
     BuildRequest Req = BuildRequest::full(Config, Sources, ProgramId);
     if (Config.UseProfile) {
-      auto Bootstrap = compileAndRun(Sources, PipelineConfig::baseline(),
-                                     nullptr, Fuel);
-      if (!Bootstrap.Compile.Success) {
-        std::fprintf(stderr, "%s\n", Bootstrap.Compile.ErrorText.c_str());
+      BuildResult Bootstrap =
+          Pipeline(PipelineConfig::baseline()).build(Sources);
+      if (!Bootstrap.ok()) {
+        std::fprintf(stderr, "%s\n", Bootstrap.text().c_str());
         return 1;
       }
-      ClientProfile = Bootstrap.Run.Profile;
+      ClientProfile = runExecutable(Bootstrap.Exe, Fuel).Profile;
       Req.Profile = ClientProfile;
     }
 
@@ -529,9 +529,9 @@ int main(int argc, char **argv) {
                    R.Code.empty() ? "" : "]", R.text().c_str());
       return 1;
     }
-    auto Linked = linkObjectTexts(R.Value.Objects);
-    if (!Linked.Success) {
-      std::fprintf(stderr, "%s\n", Linked.ErrorText.c_str());
+    LinkedResult Linked = Pipeline(PipelineConfig()).link(R.Value.Objects);
+    if (!Linked.ok()) {
+      std::fprintf(stderr, "%s\n", Linked.text().c_str());
       return 1;
     }
     if (DumpSummary)
@@ -577,9 +577,9 @@ int main(int argc, char **argv) {
   if (Mode == "phase1") {
     if (Sources.size() != 1)
       return usage();
-    auto R = runPhase1(Sources[0], Config);
-    if (!R.Success) {
-      std::fprintf(stderr, "%s\n", R.ErrorText.c_str());
+    SummaryResult R = Pipeline(Config).compileSummary(Sources[0]);
+    if (!R.ok()) {
+      std::fprintf(stderr, "%s\n", R.text().c_str());
       return 1;
     }
     std::fputs(R.SummaryText.c_str(), stdout);
@@ -589,9 +589,9 @@ int main(int argc, char **argv) {
     std::vector<std::string> Summaries;
     for (const SourceFile &S : Sources)
       Summaries.push_back(S.Text);
-    auto R = runAnalyzerPhase(Summaries, Config);
-    if (!R.Success) {
-      std::fprintf(stderr, "%s\n", R.ErrorText.c_str());
+    DatabaseResult R = Pipeline(Config).analyze(Summaries);
+    if (!R.ok()) {
+      std::fprintf(stderr, "%s\n", R.text().c_str());
       return 1;
     }
     std::fputs(R.DatabaseText.c_str(), stdout);
@@ -601,9 +601,9 @@ int main(int argc, char **argv) {
     if (Sources.size() != 1)
       return usage();
     std::string DBText = DBPath.empty() ? "" : readFileOrDie(DBPath);
-    auto R = runPhase2(Sources[0], DBText, Config);
-    if (!R.Success) {
-      std::fprintf(stderr, "%s\n", R.ErrorText.c_str());
+    ObjectResult R = Pipeline(Config).compileObject(Sources[0], DBText);
+    if (!R.ok()) {
+      std::fprintf(stderr, "%s\n", R.text().c_str());
       return 1;
     }
     std::fputs(R.ObjectText.c_str(), stdout);
@@ -613,9 +613,9 @@ int main(int argc, char **argv) {
     std::vector<std::string> Objects;
     for (const SourceFile &S : Sources)
       Objects.push_back(S.Text);
-    auto Linked = linkObjectTexts(Objects);
-    if (!Linked.Success) {
-      std::fprintf(stderr, "%s\n", Linked.ErrorText.c_str());
+    LinkedResult Linked = Pipeline(PipelineConfig()).link(Objects);
+    if (!Linked.ok()) {
+      std::fprintf(stderr, "%s\n", Linked.text().c_str());
       return 1;
     }
     auto R = runExecutable(Linked.Exe, Fuel);
@@ -662,25 +662,24 @@ int main(int argc, char **argv) {
   ProfileData Profile;
   const ProfileData *ProfilePtr = nullptr;
   if (Config.UseProfile) {
-    auto Bootstrap = compileAndRun(Sources, PipelineConfig::baseline(),
-                                   nullptr, Fuel);
-    if (!Bootstrap.Compile.Success) {
-      std::fprintf(stderr, "%s\n", Bootstrap.Compile.ErrorText.c_str());
+    BuildResult Bootstrap = Pipeline(PipelineConfig::baseline()).build(Sources);
+    if (!Bootstrap.ok()) {
+      std::fprintf(stderr, "%s\n", Bootstrap.text().c_str());
       return 1;
     }
-    Profile = Bootstrap.Run.Profile;
+    Profile = runExecutable(Bootstrap.Exe, Fuel).Profile;
     ProfilePtr = &Profile;
   }
 
-  auto R = compileAndRun(Sources, Config, ProfilePtr, Fuel);
-  if (!R.Compile.Success) {
-    std::fprintf(stderr, "%s\n", R.Compile.ErrorText.c_str());
+  BuildResult R = Pipeline(Config).build(Sources, ProfilePtr);
+  if (!R.ok()) {
+    std::fprintf(stderr, "%s\n", R.text().c_str());
     return 1;
   }
 
   if (VerifyIPRA) {
     std::vector<ObjectFile> Objects;
-    for (const std::string &Text : R.Compile.ObjectFiles) {
+    for (const std::string &Text : R.ObjectFiles) {
       ObjectFile Obj;
       std::string Error;
       if (!readObjectFile(Text, Obj, Error)) {
@@ -692,8 +691,8 @@ int main(int argc, char **argv) {
     }
     ProgramDatabase DB;
     std::string Error;
-    if (!R.Compile.DatabaseFile.empty() &&
-        !ProgramDatabase::deserialize(R.Compile.DatabaseFile, DB, Error)) {
+    if (!R.DatabaseFile.empty() &&
+        !ProgramDatabase::deserialize(R.DatabaseFile, DB, Error)) {
       std::fprintf(stderr, "mcc: --verify-ipra: bad database: %s\n",
                    Error.c_str());
       return 1;
@@ -711,37 +710,38 @@ int main(int argc, char **argv) {
   }
 
   if (DumpSummary)
-    for (const std::string &S : R.Compile.SummaryFiles)
+    for (const std::string &S : R.SummaryFiles)
       std::printf("%s\n", S.c_str());
   if (DumpDB)
-    std::printf("%s\n", R.Compile.DatabaseFile.c_str());
+    std::printf("%s\n", R.DatabaseFile.c_str());
   if (Disasm) {
-    for (const ExeSymbol &Sym : R.Compile.Exe.Symbols) {
+    for (const ExeSymbol &Sym : R.Exe.Symbols) {
       std::printf("%s:\n", Sym.QualName.c_str());
       for (int I = Sym.Start; I < Sym.End; ++I)
         std::printf("  %5d: %s\n", I,
-                    R.Compile.Exe.Code[I].toString().c_str());
+                    R.Exe.Code[I].toString().c_str());
     }
   }
 
-  std::fputs(R.Run.Output.c_str(), stdout);
-  if (!R.Run.Halted) {
+  RunResult Run = runExecutable(R.Exe, Fuel);
+  std::fputs(Run.Output.c_str(), stdout);
+  if (!Run.Halted) {
     std::fprintf(stderr, "mcc: program did not halt: %s%s\n",
-                 R.Run.Trap.c_str(),
-                 R.Run.OutOfFuel ? "out of fuel" : "");
+                 Run.Trap.c_str(),
+                 Run.OutOfFuel ? "out of fuel" : "");
     return 1;
   }
   if (Stats) {
-    std::fputs(R.Compile.Pipeline.toString().c_str(), stderr);
+    std::fputs(R.Stats.toString().c_str(), stderr);
     std::fprintf(stderr,
                  "cycles:         %lld\n"
                  "instructions:   %lld\n"
                  "memory refs:    %lld\n"
                  "singleton refs: %lld\n"
                  "calls:          %lld\n",
-                 R.Run.Stats.Cycles, R.Run.Stats.Instructions,
-                 R.Run.Stats.MemRefs, R.Run.Stats.SingletonRefs,
-                 R.Run.Stats.Calls);
+                 Run.Stats.Cycles, Run.Stats.Instructions,
+                 Run.Stats.MemRefs, Run.Stats.SingletonRefs,
+                 Run.Stats.Calls);
   }
-  return R.Run.ExitCode;
+  return Run.ExitCode;
 }

@@ -15,7 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/Pipeline.h"
 
 #include <cstdio>
 
@@ -48,43 +48,44 @@ int main() {
   std::vector<SourceFile> Sources = {Lib, Main};
 
   // --- 1. Level-2 baseline: each module optimized in isolation. -----------
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  if (!Base.Compile.Success) {
-    std::fprintf(stderr, "compile failed:\n%s\n",
-                 Base.Compile.ErrorText.c_str());
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  if (!Base.ok()) {
+    std::fprintf(stderr, "compile failed:\n%s\n", Base.text().c_str());
     return 1;
   }
-  std::printf("baseline output:\n%s", Base.Run.Output.c_str());
+  RunResult BaseRun = runExecutable(Base.Exe);
+  std::printf("baseline output:\n%s", BaseRun.Output.c_str());
   std::printf("baseline cycles:            %lld\n",
-              Base.Run.Stats.Cycles);
+              BaseRun.Stats.Cycles);
   std::printf("baseline singleton refs:    %lld\n\n",
-              Base.Run.Stats.SingletonRefs);
+              BaseRun.Stats.SingletonRefs);
 
   // --- 2. Interprocedural allocation (configuration C). -------------------
-  auto Ipra = compileAndRun(Sources, PipelineConfig::configC());
-  std::printf("IPRA (config C) output:\n%s", Ipra.Run.Output.c_str());
+  BuildResult Ipra = Pipeline(PipelineConfig::configC()).build(Sources);
+  RunResult IpraRun = Ipra.ok() ? runExecutable(Ipra.Exe) : RunResult();
+  std::printf("IPRA (config C) output:\n%s", IpraRun.Output.c_str());
   std::printf("IPRA cycles:                %lld  (%.1f%% better)\n",
-              Ipra.Run.Stats.Cycles,
-              100.0 * (Base.Run.Stats.Cycles - Ipra.Run.Stats.Cycles) /
-                  Base.Run.Stats.Cycles);
+              IpraRun.Stats.Cycles,
+              100.0 * (BaseRun.Stats.Cycles - IpraRun.Stats.Cycles) /
+                  BaseRun.Stats.Cycles);
   std::printf("IPRA singleton refs:        %lld  (%.1f%% fewer)\n\n",
-              Ipra.Run.Stats.SingletonRefs,
+              IpraRun.Stats.SingletonRefs,
               100.0 *
-                  (Base.Run.Stats.SingletonRefs -
-                   Ipra.Run.Stats.SingletonRefs) /
-                  Base.Run.Stats.SingletonRefs);
+                  (BaseRun.Stats.SingletonRefs -
+                   IpraRun.Stats.SingletonRefs) /
+                  BaseRun.Stats.SingletonRefs);
 
   // --- 3. The artifacts that cross module boundaries. ---------------------
   std::printf("summary file for lib.mc (compiler first phase output):\n");
-  std::printf("%s\n", Ipra.Compile.SummaryFiles[0].c_str());
+  std::printf("%s\n", Ipra.SummaryFiles[0].c_str());
   std::printf("program database (program analyzer output):\n");
-  std::printf("%s\n", Ipra.Compile.DatabaseFile.c_str());
+  std::printf("%s\n", Ipra.DatabaseFile.c_str());
 
   std::printf("analyzer: %d eligible globals, %d webs (%d colored), "
               "%d clusters (avg %.1f nodes)\n",
-              Ipra.Compile.Stats.EligibleGlobals,
-              Ipra.Compile.Stats.TotalWebs, Ipra.Compile.Stats.ColoredWebs,
-              Ipra.Compile.Stats.NumClusters,
-              Ipra.Compile.Stats.avgClusterSize());
+              Ipra.Analyzer.EligibleGlobals,
+              Ipra.Analyzer.TotalWebs, Ipra.Analyzer.ColoredWebs,
+              Ipra.Analyzer.NumClusters,
+              Ipra.Analyzer.avgClusterSize());
   return 0;
 }

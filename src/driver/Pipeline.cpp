@@ -23,7 +23,7 @@
 #include "support/Hash.h"
 #include "support/ThreadPool.h"
 
-#include <optional>
+#include <deque>
 #include <sstream>
 
 using namespace ipra;
@@ -70,20 +70,17 @@ void optimizeForDirectives(IRModule &IR, const ProgramDatabase *DB,
   }
 }
 
-/// One function's position in the flattened cross-module work list
-/// both phases use for parallel code generation.
-struct FuncJob {
-  size_t Module = 0;
-  size_t Func = 0;
-};
-
-/// The first non-empty per-module error, in module order, so the
-/// reported error does not depend on worker scheduling.
-const std::string *firstError(const std::vector<std::string> &Errors) {
-  for (const std::string &E : Errors)
-    if (!E.empty())
-      return &E;
-  return nullptr;
+/// The linker's verdict as a Status, moving the executable out on
+/// success.
+Status linkStatus(LinkResult Linked, Executable &Exe) {
+  if (!Linked.Success) {
+    std::string Text = "link failed:";
+    for (const std::string &E : Linked.Errors)
+      Text += "\n  " + E;
+    return Status::error(std::move(Text));
+  }
+  Exe = std::move(Linked.Exe);
+  return Status::success();
 }
 
 /// Assembles the textual object file for one compiled module.
@@ -191,69 +188,6 @@ Pipeline::Pipeline(PipelineConfig Config_,
       AnalyzerFP(Config.analyzerFingerprint()),
       FullFP(Config.fingerprint()) {}
 
-//===----------------------------------------------------------------------===//
-// Phase-granular bodies.
-//===----------------------------------------------------------------------===//
-
-SummaryResult Pipeline::compileSummaryImpl(const SourceFile &Source) {
-  SummaryResult Result;
-  std::string Key = summaryKey(CompileFP, Source);
-  if (auto Entry = Cache->get(Key)) {
-    ModuleSummary Parsed;
-    std::string Error;
-    if (readSummary(*Entry, Parsed, Error) &&
-        Parsed.ConfigFingerprint == CompileFP) {
-      Result.SummaryText = std::move(*Entry);
-      Result.FromCache = true;
-      Result.Ok = true;
-      return Result;
-    }
-    Cache->invalidate(Key); // Corrupt or stale entry: recompute.
-  }
-
-  DiagnosticEngine Diags;
-  auto AST = frontEnd(Source, Diags);
-  if (!AST) {
-    Result.Diags.addAll(Diags);
-    return Result;
-  }
-  auto IR = generateIR(*AST, Diags);
-  auto Problems = verifyModule(*IR);
-  if (!Problems.empty()) {
-    Result.Diags.error("IR verification failed: " + Problems[0]);
-    return Result;
-  }
-  // Points-to runs on the pristine pre-optimization IR (optimization
-  // only removes access sites, so the facts stay sound afterwards).
-  std::unique_ptr<ModulePointsTo> PT;
-  if (Config.PointsTo != PointsToMode::Off)
-    PT = std::make_unique<ModulePointsTo>(*IR);
-  optimizeForDirectives(*IR, nullptr, Config.LocalGlobalPromotion,
-                        PT.get());
-
-  std::map<std::string, TrialCodeGenInfo> Estimates;
-  for (auto &F : IR->Functions) {
-    CodeGenResult CG = generateCode(*IR, *F, ProcDirectives());
-    if (CG.Success)
-      Estimates[F->Name] = TrialCodeGenInfo{
-          CG.RA.CalleeRegsUsed,
-          static_cast<unsigned>(CG.CallerRegsWritten)};
-  }
-  ModuleSummary Summary = buildModuleSummary(*IR, Estimates);
-  if (PT)
-    PT->applyToSummary(Summary);
-  // GPG mode additionally attaches the module's composable points-to
-  // residue (summary format v4); the analyzer composes the residues
-  // bottom-up and strengthens the Andersen facts above.
-  if (Config.PointsTo == PointsToMode::GPG)
-    buildGPGSummary(*IR, Summary);
-  Summary.ConfigFingerprint = CompileFP;
-  Result.SummaryText = writeSummary(Summary);
-  Cache->put(Key, Result.SummaryText);
-  Result.Ok = true;
-  return Result;
-}
-
 bool Pipeline::analyzeCached(const std::vector<ModuleSummary> &Summaries,
                              const std::vector<std::string> &SummaryTexts,
                              const CallProfile &CP, AnalyzerStats &Stats,
@@ -359,114 +293,234 @@ Status Pipeline::executeAnalyze(const BuildRequest &Req,
   return Status::success();
 }
 
-ObjectResult Pipeline::compileObjectImpl(const SourceFile &Source,
-                                         const std::string &DatabaseText) {
-  ObjectResult Result;
-  ProgramDatabase DB;
-  bool HaveDB = !DatabaseText.empty();
-  if (HaveDB) {
-    std::string Error;
-    if (!ProgramDatabase::deserialize(DatabaseText, DB, Error)) {
-      Result.Diags.error("bad program database: " + Error);
-      return Result;
+//===----------------------------------------------------------------------===//
+// The per-module phase kernels. Every entry point — the fused build, the
+// per-phase requests and lint — maps these over its modules, so each
+// compiler phase has exactly one implementation.
+//===----------------------------------------------------------------------===//
+
+/// One module's source and its front end, run at most once and only on
+/// demand: a module whose artifacts all come out of the cache is never
+/// parsed (the cached artifact proves the source it hashes compiled
+/// cleanly), and a cold build parses each module once for both phases.
+/// Each module keeps its own diagnostic engine; merging in module order
+/// keeps the rendered text independent of worker scheduling.
+class Pipeline::ModuleUnit {
+public:
+  explicit ModuleUnit(const SourceFile &Source) : Source(Source) {}
+
+  const SourceFile &source() const { return Source; }
+  const DiagnosticEngine &diags() const { return Diags; }
+  bool frontEndFailed() const { return Parsed && !AST; }
+
+  /// The checked AST, or null on a front-end error (see diags()).
+  const ModuleAST *ast(ModulePipelineStats &MS) {
+    if (!Parsed) {
+      ScopedTimerMs Timer(MS.FrontEndMs);
+      AST = frontEnd(Source, Diags);
+      Parsed = true;
     }
-    if (!DB.ConfigFingerprint.empty() && DB.ConfigFingerprint != FullFP) {
-      Result.Diags.error(
-          "bad program database: database was produced under a different "
-          "configuration (fingerprint " +
-          DB.ConfigFingerprint + ", expected " + FullFP +
-          "); re-run the analyzer with matching options");
-      return Result;
-    }
+    return AST.get();
   }
 
-  // Standalone calls have no summary to compute the precise database
-  // slice from; the whole database text stands in (build() keys on
-  // ProgramDatabase::sliceFor instead).
-  std::string Key = objectKey(CompileFP, Source, DatabaseText);
-  if (auto Entry = Cache->get(Key)) {
-    ObjectFile Parsed;
-    std::string Error;
-    if (readObjectFile(*Entry, Parsed, Error)) {
-      Result.ObjectText = std::move(*Entry);
-      Result.FromCache = true;
-      Result.Ok = true;
-      return Result;
-    }
-    Cache->invalidate(Key); // Corrupt entry: recompute.
-  }
-
+private:
+  const SourceFile &Source;
+  std::unique_ptr<ModuleAST> AST;
   DiagnosticEngine Diags;
-  auto AST = frontEnd(Source, Diags);
-  if (!AST) {
-    Result.Diags.addAll(Diags);
-    return Result;
+  bool Parsed = false;
+};
+
+/// The phase-1 kernel's output: the summary text plus its parsed form,
+/// and the solver counters of a recompile (zero on a cache hit).
+struct Pipeline::SummaryArtifact : Status {
+  std::string Text;
+  ModuleSummary Summary;
+  bool FromCache = false;
+  PointsToStats PointsTo;
+  GPGBuildStats GPG;
+};
+
+/// The phase-2 kernel's output: the object text plus its parsed form.
+struct Pipeline::ObjectArtifact : Status {
+  std::string Text;
+  ObjectFile Object;
+  bool FromCache = false;
+};
+
+Pipeline::SummaryArtifact Pipeline::summaryKernel(ModuleUnit &M,
+                                                  ModulePipelineStats &MS) {
+  SummaryArtifact Out;
+  std::string Key = summaryKey(CompileFP, M.source());
+  if (auto Entry = Cache->get(Key)) {
+    std::string Error;
+    if (readSummary(*Entry, Out.Summary, Error) &&
+        Out.Summary.ConfigFingerprint == CompileFP) {
+      Out.Text = std::move(*Entry);
+      Out.FromCache = MS.Phase1FromCache = true;
+      Out.Ok = true;
+      return Out;
+    }
+    Cache->invalidate(Key); // Corrupt or stale entry: recompute.
+    Out.Summary = ModuleSummary();
   }
+
+  const ModuleAST *AST = M.ast(MS);
+  if (!AST) {
+    Out.Diags.addAll(M.diags());
+    return Out;
+  }
+  ScopedTimerMs Timer(MS.Phase1Ms);
+  DiagnosticEngine Diags;
   auto IR = generateIR(*AST, Diags);
-  std::unique_ptr<ModulePointsTo> PT;
-  if (Config.PointsTo != PointsToMode::Off)
-    PT = std::make_unique<ModulePointsTo>(*IR);
-  optimizeForDirectives(*IR, HaveDB ? &DB : nullptr,
-                        Config.LocalGlobalPromotion, PT.get());
   auto Problems = verifyModule(*IR);
   if (!Problems.empty()) {
-    Result.Diags.error("IR verification failed: " + Problems[0]);
-    return Result;
+    Out.Diags.error("phase 1 IR verification failed: " + Problems[0]);
+    return Out;
+  }
+  // Points-to runs on the pristine pre-optimization IR (optimization
+  // only removes access sites, so the facts stay sound afterwards); its
+  // facts feed the optimizer below and the summary later.
+  std::unique_ptr<ModulePointsTo> PT;
+  if (Config.PointsTo != PointsToMode::Off) {
+    ScopedTimerMs PTTimer(MS.PointsToMs);
+    PT = std::make_unique<ModulePointsTo>(*IR);
+    Out.PointsTo = PT->stats();
+  }
+  optimizeForDirectives(*IR, nullptr, Config.LocalGlobalPromotion,
+                        PT.get());
+
+  // Trial code generation for the register-need estimates and the
+  // caller-saves footprints (§6, §7.6.2).
+  std::map<std::string, TrialCodeGenInfo> Estimates;
+  for (auto &F : IR->Functions) {
+    CodeGenResult CG = generateCode(*IR, *F, ProcDirectives());
+    if (CG.Success)
+      Estimates[F->Name] = TrialCodeGenInfo{
+          CG.RA.CalleeRegsUsed,
+          static_cast<unsigned>(CG.CallerRegsWritten)};
+  }
+  ModuleSummary Summary = buildModuleSummary(*IR, Estimates);
+  if (PT)
+    PT->applyToSummary(Summary);
+  // GPG mode additionally attaches the module's composable points-to
+  // residue (summary format v4); the analyzer composes the residues
+  // bottom-up and strengthens the Andersen facts above.
+  if (Config.PointsTo == PointsToMode::GPG) {
+    ScopedTimerMs GPGTimer(MS.PointsToMs);
+    Out.GPG = buildGPGSummary(*IR, Summary);
+  }
+  // Round-trip through the textual summary-file format, stamped with
+  // the compile fingerprint; failures are never cached.
+  Summary.ConfigFingerprint = CompileFP;
+  Out.Text = writeSummary(Summary);
+  std::string Error;
+  if (!readSummary(Out.Text, Out.Summary, Error)) {
+    Out.Diags.error("summary round-trip failed: " + Error);
+    return Out;
+  }
+  Cache->put(Key, Out.Text);
+  Out.Ok = true;
+  return Out;
+}
+
+Pipeline::ObjectArtifact Pipeline::objectKernel(ModuleUnit &M,
+                                                const ProgramDatabase *DB,
+                                                const std::string &DbKey,
+                                                ModulePipelineStats &MS) {
+  ObjectArtifact Out;
+  std::string Key = objectKey(CompileFP, M.source(), DbKey);
+  if (auto Entry = Cache->get(Key)) {
+    std::string Error;
+    if (readObjectFile(*Entry, Out.Object, Error)) {
+      Out.Text = std::move(*Entry);
+      Out.FromCache = MS.Phase2FromCache = true;
+      Out.Ok = true;
+      return Out;
+    }
+    Cache->invalidate(Key); // Corrupt entry: recompute.
+    Out.Object = ObjectFile();
+  }
+
+  const ModuleAST *AST = M.ast(MS);
+  if (!AST) {
+    Out.Diags.addAll(M.diags());
+    return Out;
+  }
+  ScopedTimerMs Timer(MS.Phase2Ms);
+  DiagnosticEngine Diags;
+  auto IR = generateIR(*AST, Diags);
+  std::unique_ptr<ModulePointsTo> PT;
+  if (Config.PointsTo != PointsToMode::Off) {
+    ScopedTimerMs PTTimer(MS.PointsToMs);
+    PT = std::make_unique<ModulePointsTo>(*IR);
+  }
+  optimizeForDirectives(*IR, DB, Config.LocalGlobalPromotion, PT.get());
+  auto Problems = verifyModule(*IR);
+  if (!Problems.empty()) {
+    Out.Diags.error("phase 2 IR verification failed: " + Problems[0]);
+    return Out;
   }
 
   // Per-callee clobber masks for the §7.6.2 extension; without a
   // database (or with the extension off) every call clobbers fully.
   CallClobberResolver Clobbers;
-  if (HaveDB && Config.CallerSavePropagation)
-    Clobbers = [&DB](const std::string &Callee) {
-      return DB.lookup(Callee).SubtreeClobber;
+  if (DB && Config.CallerSavePropagation)
+    Clobbers = [DB](const std::string &Callee) {
+      return DB->lookup(Callee).SubtreeClobber;
     };
 
   std::vector<ObjFunction> Funcs;
   for (auto &F : IR->Functions) {
-    ProcDirectives Dir =
-        HaveDB ? DB.lookup(F->qualifiedName()) : ProcDirectives();
+    ProcDirectives Dir = DB ? DB->lookup(F->qualifiedName()) : ProcDirectives();
     Dir.Caller &= ~Config.LinkerReservedRegs;
     Dir.Callee &= ~Config.LinkerReservedRegs;
     Dir.Free &= ~Config.LinkerReservedRegs;
     CodeGenResult CG = generateCode(*IR, *F, Dir, Clobbers);
     if (!CG.Success) {
-      Result.Diags.error("register allocation failed for " +
-                         F->qualifiedName());
-      return Result;
+      Out.Diags.error("register allocation failed for " + F->qualifiedName());
+      return Out;
     }
     Funcs.push_back(std::move(CG.Obj));
   }
-  Result.ObjectText = writeObjectFile(assembleObject(*IR, std::move(Funcs)));
-  Cache->put(Key, Result.ObjectText);
-  Result.Ok = true;
-  return Result;
+  // Round-trip through the textual object-file format: the object
+  // really is a standalone artifact, like the paper's per-module object
+  // files.
+  Out.Text = writeObjectFile(assembleObject(*IR, std::move(Funcs)));
+  std::string Error;
+  if (!readObjectFile(Out.Text, Out.Object, Error)) {
+    Out.Diags.error("object round-trip failed: " + Error);
+    return Out;
+  }
+  Cache->put(Key, Out.Text);
+  Out.Ok = true;
+  return Out;
 }
 
-LinkedResult Pipeline::linkImpl(const std::vector<std::string> &ObjectTexts) {
-  LinkedResult Result;
-  std::vector<ObjectFile> Parsed;
-  for (const std::string &Text : ObjectTexts) {
-    ObjectFile Obj;
-    std::string Error;
-    if (!readObjectFile(Text, Obj, Error)) {
-      Result.Diags.error("bad object file: " + Error);
-      return Result;
+namespace {
+
+/// Folds the outcome of one parallel map over \p Units into \p Diags, in
+/// module order so the report does not depend on worker scheduling:
+/// when any front end failed, every module's front-end diagnostics;
+/// otherwise the first failed kernel's. Returns true when every kernel
+/// succeeded.
+template <typename UnitsT, typename ArtifactsT>
+bool collectFailures(const UnitsT &Units, const ArtifactsT &Artifacts,
+                     Diagnostics &Diags) {
+  for (const auto &U : Units)
+    if (U.frontEndFailed()) {
+      for (const auto &V : Units)
+        Diags.addAll(V.diags());
+      return false;
     }
-    Parsed.push_back(std::move(Obj));
-  }
-  LinkResult Linked = linkObjects(Parsed);
-  if (!Linked.Success) {
-    std::string Text = "link failed:";
-    for (const std::string &E : Linked.Errors)
-      Text += "\n  " + E;
-    Result.Diags.error(std::move(Text));
-    return Result;
-  }
-  Result.Exe = std::move(Linked.Exe);
-  Result.Ok = true;
-  return Result;
+  for (const auto &A : Artifacts)
+    if (!A.ok()) {
+      Diags = A.Diags;
+      return false;
+    }
+  return true;
 }
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // The fused incremental build.
@@ -486,181 +540,46 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
   AllSources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
   const size_t NumModules = AllSources.size();
   PS.Modules.resize(NumModules);
-  for (size_t I = 0; I < NumModules; ++I)
+  std::deque<ModuleUnit> Units;
+  for (size_t I = 0; I < NumModules; ++I) {
     PS.Modules[I].Name = AllSources[I].Name;
+    Units.emplace_back(AllSources[I]);
+  }
 
-  // ---- Front end, on demand: a module whose artifacts all come out of
-  // the cache is never parsed (the cached artifact proves the source it
-  // hashes compiled cleanly). Each module gets its own diagnostic
-  // engine; merging in module order keeps the rendered text independent
-  // of worker scheduling.
-  std::vector<std::unique_ptr<ModuleAST>> ASTs(NumModules);
-  std::vector<char> FrontEndRan(NumModules, 0);
-  std::vector<DiagnosticEngine> ModuleDiags(NumModules);
-  auto ensureFrontEnd = [&](const std::vector<size_t> &Need) {
-    std::vector<size_t> Run;
-    for (size_t I : Need)
-      if (!FrontEndRan[I])
-        Run.push_back(I);
-    if (!Run.empty()) {
-      ScopedTimerMs Timer(PS.FrontEndMs);
-      parallelForEach(Pool, Run.size(), [&](size_t J) {
-        size_t I = Run[J];
-        ScopedTimerMs ModuleTimer(PS.Modules[I].FrontEndMs);
-        ASTs[I] = frontEnd(AllSources[I], ModuleDiags[I]);
-        FrontEndRan[I] = 1;
-      });
-    }
-    bool Ok = true;
-    for (size_t I : Need)
-      Ok &= ASTs[I] != nullptr;
-    if (!Ok)
-      for (size_t I = 0; I < NumModules; ++I)
-        Result.Diags.addAll(ModuleDiags[I]);
-    return Ok;
-  };
-
-  // ---- Compiler first phase: optimize, trial codegen, summary file.
+  // ---- Compiler first phase, one job per module; each job writes only
+  // its own slots, so artifacts are byte-identical at any thread count.
   // Cache key: compile fingerprint x module name x source text.
   ProgramDatabase DB;
   bool HaveDB = false;
   std::vector<ModuleSummary> Summaries(NumModules);
-  std::vector<std::string> SummaryTexts(NumModules);
   if (Config.Ipra) {
+    std::vector<std::string> SummaryTexts(NumModules);
     {
       ScopedTimerMs Timer(PS.Phase1Ms);
-      std::vector<std::string> Keys(NumModules);
-      std::vector<size_t> Miss;
+      std::vector<SummaryArtifact> Artifacts(NumModules);
+      parallelForEach(Pool, NumModules, [&](size_t I) {
+        Artifacts[I] = summaryKernel(Units[I], PS.Modules[I]);
+      });
+      if (!collectFailures(Units, Artifacts, Result.Diags))
+        return Result;
       for (size_t I = 0; I < NumModules; ++I) {
-        Keys[I] = summaryKey(CompileFP, AllSources[I]);
-        if (auto Entry = Cache->get(Keys[I])) {
-          ModuleSummary Parsed;
-          std::string Error;
-          if (readSummary(*Entry, Parsed, Error) &&
-              Parsed.ConfigFingerprint == CompileFP) {
-            SummaryTexts[I] = std::move(*Entry);
-            Summaries[I] = std::move(Parsed);
-            ++PS.Phase1CacheHits;
-            PS.Modules[I].Phase1FromCache = true;
-            PS.CacheBytesSaved += SummaryTexts[I].size();
-            continue;
-          }
-          Cache->invalidate(Keys[I]); // Corrupt entry: recompute.
+        SummaryArtifact &A = Artifacts[I];
+        if (A.FromCache) {
+          ++PS.Phase1CacheHits;
+          PS.CacheBytesSaved += A.Text.size();
+        } else {
+          ++PS.Phase1CacheMisses;
         }
-        ++PS.Phase1CacheMisses;
-        Miss.push_back(I);
-      }
-
-      if (!Miss.empty()) {
-        if (!ensureFrontEnd(Miss))
-          return Result;
-        std::vector<std::unique_ptr<IRModule>> IRs(NumModules);
-        std::vector<std::unique_ptr<ModulePointsTo>> PTs(NumModules);
-        std::vector<std::string> Errors(NumModules);
-        parallelForEach(Pool, Miss.size(), [&](size_t J) {
-          size_t I = Miss[J];
-          ScopedTimerMs ModuleTimer(PS.Modules[I].Phase1Ms);
-          DiagnosticEngine Diags;
-          auto IR = generateIR(*ASTs[I], Diags);
-          auto Problems = verifyModule(*IR);
-          if (!Problems.empty()) {
-            Errors[I] = "phase 1 IR verification failed: " + Problems[0];
-            return;
-          }
-          // Points-to runs on the pristine pre-optimization IR; its
-          // facts feed the optimizer below and the summary later.
-          if (Config.PointsTo != PointsToMode::Off) {
-            ScopedTimerMs PTTimer(PS.Modules[I].PointsToMs);
-            PTs[I] = std::make_unique<ModulePointsTo>(*IR);
-          }
-          optimizeForDirectives(*IR, nullptr, Config.LocalGlobalPromotion,
-                                PTs[I].get());
-          IRs[I] = std::move(IR);
-        });
-        if (const std::string *E = firstError(Errors)) {
-          Result.Diags.error(*E);
-          return Result;
-        }
-
-        // Trial code generation for the register-need estimates and the
-        // caller-saves footprints (§6, §7.6.2), parallel across every
-        // function of every recompiled module.
-        std::vector<FuncJob> Jobs;
-        for (size_t I : Miss)
-          for (size_t F = 0; F < IRs[I]->Functions.size(); ++F)
-            Jobs.push_back(FuncJob{I, F});
-        std::vector<std::vector<std::optional<TrialCodeGenInfo>>> Trial(
-            NumModules);
-        for (size_t I : Miss)
-          Trial[I].resize(IRs[I]->Functions.size());
-        std::vector<double> JobMs(Jobs.size(), 0);
-        parallelForEach(Pool, Jobs.size(), [&](size_t J) {
-          ScopedTimerMs JobTimer(JobMs[J]);
-          const IRModule &IR = *IRs[Jobs[J].Module];
-          CodeGenResult CG = generateCode(
-              IR, *IR.Functions[Jobs[J].Func], ProcDirectives());
-          if (CG.Success)
-            Trial[Jobs[J].Module][Jobs[J].Func] = TrialCodeGenInfo{
-                CG.RA.CalleeRegsUsed,
-                static_cast<unsigned>(CG.CallerRegsWritten)};
-        });
-        for (size_t J = 0; J < Jobs.size(); ++J)
-          PS.Modules[Jobs[J].Module].Phase1Ms += JobMs[J];
-
-        // Summary emission, round-tripped through the textual
-        // summary-file format and stamped with the compile fingerprint.
-        std::vector<GPGBuildStats> GPGStats(NumModules);
-        parallelForEach(Pool, Miss.size(), [&](size_t J) {
-          size_t I = Miss[J];
-          ScopedTimerMs ModuleTimer(PS.Modules[I].Phase1Ms);
-          std::map<std::string, TrialCodeGenInfo> Estimates;
-          for (size_t F = 0; F < Trial[I].size(); ++F)
-            if (Trial[I][F])
-              Estimates[IRs[I]->Functions[F]->Name] = *Trial[I][F];
-          ModuleSummary Summary = buildModuleSummary(*IRs[I], Estimates);
-          if (PTs[I])
-            PTs[I]->applyToSummary(Summary);
-          // GPG mode additionally attaches the module's composable
-          // points-to residue (summary format v4) for the analyzer's
-          // bottom-up composition.
-          if (Config.PointsTo == PointsToMode::GPG) {
-            ScopedTimerMs GPGTimer(PS.Modules[I].PointsToMs);
-            GPGStats[I] = buildGPGSummary(*IRs[I], Summary);
-          }
-          Summary.ConfigFingerprint = CompileFP;
-          std::string Text = writeSummary(Summary);
-          ModuleSummary Parsed;
-          std::string Error;
-          if (!readSummary(Text, Parsed, Error)) {
-            Errors[I] = "summary round-trip failed: " + Error;
-            return;
-          }
-          SummaryTexts[I] = std::move(Text);
-          Summaries[I] = std::move(Parsed);
-        });
-        Result.SummaryFiles = SummaryTexts;
-        if (const std::string *E = firstError(Errors)) {
-          Result.Diags.error(*E);
-          return Result;
-        }
-        // Publish only once every miss round-tripped cleanly; failures
-        // are never cached.
-        for (size_t I : Miss)
-          Cache->put(Keys[I], SummaryTexts[I]);
-        for (size_t I : Miss) {
-          if (PTs[I]) {
-            PS.PointsToConstraints += PTs[I]->stats().Constraints;
-            PS.PointsToIterations += PTs[I]->stats().Iterations;
-          }
-          PS.GPGUpdates += GPGStats[I].Updates;
-          PS.GPGCallSites += GPGStats[I].CallSites;
-        }
+        PS.PointsToConstraints += A.PointsTo.Constraints;
+        PS.PointsToIterations += A.PointsTo.Iterations;
+        PS.GPGUpdates += A.GPG.Updates;
+        PS.GPGCallSites += A.GPG.CallSites;
+        PS.Modules[I].SummaryBytes = A.Text.size();
+        PS.SummaryBytes += A.Text.size();
+        SummaryTexts[I] = std::move(A.Text);
+        Summaries[I] = std::move(A.Summary);
       }
       Result.SummaryFiles = SummaryTexts;
-      for (size_t I = 0; I < NumModules; ++I) {
-        PS.Modules[I].SummaryBytes = SummaryTexts[I].size();
-        PS.SummaryBytes += SummaryTexts[I].size();
-      }
     }
 
     // ---- Program analyzer: the one whole-program step. Web discovery
@@ -732,159 +651,48 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
     HaveDB = true;
   }
 
-  // ---- Compiler second phase: per-module compilation to objects.
-  // Cache key: compile fingerprint x module name x source text x the
-  // module's database slice — after an edit, only modules whose slice
-  // the analyzer actually moved recompile.
+  // ---- Compiler second phase, one job per module. Cache key: compile
+  // fingerprint x module name x source text x the module's database
+  // slice — after an edit, only modules whose slice the analyzer
+  // actually moved recompile.
   std::vector<ObjectFile> Objects(NumModules);
   {
     ScopedTimerMs Timer(PS.Phase2Ms);
-    std::vector<std::string> ObjTexts(NumModules);
-    std::vector<std::string> Keys(NumModules);
-    std::vector<size_t> Miss;
-    for (size_t I = 0; I < NumModules; ++I) {
+    std::vector<ObjectArtifact> Artifacts(NumModules);
+    parallelForEach(Pool, NumModules, [&](size_t I) {
       std::string Slice =
           HaveDB ? DB.sliceFor(Summaries[I], Config.CallerSavePropagation)
                  : std::string();
-      Keys[I] = objectKey(CompileFP, AllSources[I], Slice);
-      if (auto Entry = Cache->get(Keys[I])) {
-        ObjectFile Parsed;
-        std::string Error;
-        if (readObjectFile(*Entry, Parsed, Error)) {
-          ObjTexts[I] = std::move(*Entry);
-          Objects[I] = std::move(Parsed);
-          ++PS.Phase2CacheHits;
-          PS.Modules[I].Phase2FromCache = true;
-          PS.CacheBytesSaved += ObjTexts[I].size();
-          continue;
-        }
-        Cache->invalidate(Keys[I]); // Corrupt entry: recompute.
-      }
-      ++PS.Phase2CacheMisses;
-      Miss.push_back(I);
-    }
-
-    if (!Miss.empty()) {
-      if (!ensureFrontEnd(Miss))
-        return Result;
-      std::vector<std::unique_ptr<IRModule>> IRs(NumModules);
-      std::vector<std::string> Errors(NumModules);
-      parallelForEach(Pool, Miss.size(), [&](size_t J) {
-        size_t I = Miss[J];
-        ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
-        DiagnosticEngine Diags;
-        auto IR = generateIR(*ASTs[I], Diags);
-        std::unique_ptr<ModulePointsTo> PT;
-        if (Config.PointsTo != PointsToMode::Off) {
-          ScopedTimerMs PTTimer(PS.Modules[I].PointsToMs);
-          PT = std::make_unique<ModulePointsTo>(*IR);
-        }
-        optimizeForDirectives(*IR, HaveDB ? &DB : nullptr,
-                              Config.LocalGlobalPromotion, PT.get());
-        auto Problems = verifyModule(*IR);
-        if (!Problems.empty()) {
-          Errors[I] = "phase 2 IR verification failed: " + Problems[0];
-          return;
-        }
-        IRs[I] = std::move(IR);
-      });
-      if (const std::string *E = firstError(Errors)) {
-        Result.Diags.error(*E);
-        return Result;
-      }
-
-      // Per-callee clobber masks for the §7.6.2 extension; without a
-      // database (or with the extension off) every call clobbers fully.
-      // The resolver only reads the database, so workers share it.
-      CallClobberResolver Clobbers;
-      if (HaveDB && Config.CallerSavePropagation)
-        Clobbers = [&DB](const std::string &Callee) {
-          return DB.lookup(Callee).SubtreeClobber;
-        };
-
-      // Code generation, parallel across every function of every
-      // recompiled module; each function writes into its (module,
-      // function) slot so object files come out byte-identical at any
-      // thread count.
-      std::vector<FuncJob> Jobs;
-      for (size_t I : Miss)
-        for (size_t F = 0; F < IRs[I]->Functions.size(); ++F)
-          Jobs.push_back(FuncJob{I, F});
-      std::vector<std::vector<ObjFunction>> Funcs(NumModules);
-      for (size_t I : Miss)
-        Funcs[I].resize(IRs[I]->Functions.size());
-      std::vector<std::string> JobErrors(Jobs.size());
-      std::vector<double> JobMs(Jobs.size(), 0);
-      parallelForEach(Pool, Jobs.size(), [&](size_t J) {
-        ScopedTimerMs JobTimer(JobMs[J]);
-        const IRModule &IR = *IRs[Jobs[J].Module];
-        const auto &F = *IR.Functions[Jobs[J].Func];
-        ProcDirectives Dir =
-            HaveDB ? DB.lookup(F.qualifiedName()) : ProcDirectives();
-        Dir.Caller &= ~Config.LinkerReservedRegs;
-        Dir.Callee &= ~Config.LinkerReservedRegs;
-        Dir.Free &= ~Config.LinkerReservedRegs;
-        CodeGenResult CG = generateCode(IR, F, Dir, Clobbers);
-        if (!CG.Success) {
-          JobErrors[J] =
-              "register allocation failed for " + F.qualifiedName();
-          return;
-        }
-        Funcs[Jobs[J].Module][Jobs[J].Func] = std::move(CG.Obj);
-      });
-      for (size_t J = 0; J < Jobs.size(); ++J)
-        PS.Modules[Jobs[J].Module].Phase2Ms += JobMs[J];
-      if (const std::string *E = firstError(JobErrors)) {
-        Result.Diags.error(*E);
-        return Result;
-      }
-
-      // Object assembly, round-tripped through the textual object-file
-      // format: the object really is a standalone artifact, like the
-      // paper's per-module object files.
-      parallelForEach(Pool, Miss.size(), [&](size_t J) {
-        size_t I = Miss[J];
-        ScopedTimerMs ModuleTimer(PS.Modules[I].Phase2Ms);
-        std::string ObjText =
-            writeObjectFile(assembleObject(*IRs[I], std::move(Funcs[I])));
-        ObjectFile Parsed;
-        std::string Error;
-        if (!readObjectFile(ObjText, Parsed, Error)) {
-          Errors[I] = "object round-trip failed: " + Error;
-          return;
-        }
-        ObjTexts[I] = std::move(ObjText);
-        Objects[I] = std::move(Parsed);
-      });
-      Result.ObjectFiles = ObjTexts;
-      if (const std::string *E = firstError(Errors)) {
-        Result.Diags.error(*E);
-        return Result;
-      }
-      for (size_t I : Miss)
-        Cache->put(Keys[I], ObjTexts[I]);
-    }
-    Result.ObjectFiles = ObjTexts;
+      Artifacts[I] = objectKernel(Units[I], HaveDB ? &DB : nullptr, Slice,
+                                  PS.Modules[I]);
+    });
+    if (!collectFailures(Units, Artifacts, Result.Diags))
+      return Result;
     for (size_t I = 0; I < NumModules; ++I) {
-      PS.Modules[I].Functions =
-          static_cast<unsigned>(Objects[I].Functions.size());
-      PS.Modules[I].ObjectBytes = ObjTexts[I].size();
-      PS.ObjectBytes += ObjTexts[I].size();
-      PS.PointsToMs += PS.Modules[I].PointsToMs;
+      ObjectArtifact &A = Artifacts[I];
+      if (A.FromCache) {
+        ++PS.Phase2CacheHits;
+        PS.CacheBytesSaved += A.Text.size();
+      } else {
+        ++PS.Phase2CacheMisses;
+      }
+      ModulePipelineStats &MS = PS.Modules[I];
+      MS.Functions = static_cast<unsigned>(A.Object.Functions.size());
+      MS.ObjectBytes = A.Text.size();
+      PS.ObjectBytes += A.Text.size();
+      PS.FrontEndMs += MS.FrontEndMs;
+      PS.PointsToMs += MS.PointsToMs;
+      Result.ObjectFiles.push_back(std::move(A.Text));
+      Objects[I] = std::move(A.Object);
     }
   }
 
   // ---- Link.
   ScopedTimerMs Timer(PS.LinkMs);
-  LinkResult Linked = linkObjects(Objects);
-  if (!Linked.Success) {
-    std::string Text = "link failed:";
-    for (const std::string &E : Linked.Errors)
-      Text += "\n  " + E;
-    Result.Diags.error(std::move(Text));
+  static_cast<Status &>(Result) =
+      linkStatus(linkObjects(Objects), Result.Exe);
+  if (!Result.ok())
     return Result;
-  }
-  Result.Exe = std::move(Linked.Exe);
 
   // Snapshot the cache's occupancy/eviction gauges so `--stats` shows
   // whether a budget is biting (and how much it already reclaimed).
@@ -894,8 +702,6 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
   PS.CacheEvictions = CS.Evictions;
   PS.CacheEvictedBytes = CS.EvictedBytes;
   PS.CacheDiskEvictions = CS.DiskEvictions;
-
-  Result.Ok = true;
   return Result;
 }
 
@@ -909,18 +715,20 @@ Status Pipeline::executeSummary(const BuildRequest &Req,
   ScopedTimerMs Timer(Resp.Stats.Phase1Ms);
   bool AllCached = !Req.Modules.empty();
   for (const SourceFile &Source : Req.Modules) {
-    SummaryResult R = compileSummaryImpl(Source);
-    if (!R.ok())
-      return std::move(static_cast<Status &>(R));
-    if (R.FromCache) {
+    ModuleUnit M(Source);
+    ModulePipelineStats MS;
+    SummaryArtifact A = summaryKernel(M, MS);
+    if (!A.ok())
+      return std::move(static_cast<Status &>(A));
+    if (A.FromCache) {
       ++Resp.Stats.Phase1CacheHits;
-      Resp.Stats.CacheBytesSaved += R.SummaryText.size();
+      Resp.Stats.CacheBytesSaved += A.Text.size();
     } else {
       ++Resp.Stats.Phase1CacheMisses;
       AllCached = false;
     }
-    Resp.Stats.SummaryBytes += R.SummaryText.size();
-    Resp.Summaries.push_back(std::move(R.SummaryText));
+    Resp.Stats.SummaryBytes += A.Text.size();
+    Resp.Summaries.push_back(std::move(A.Text));
   }
   Resp.FromCache = AllCached;
   return Status::success();
@@ -930,20 +738,38 @@ Status Pipeline::executeObject(const BuildRequest &Req,
                                BuildResponse &Resp) {
   ScopedTimerMs Total(Resp.Stats.TotalMs);
   ScopedTimerMs Timer(Resp.Stats.Phase2Ms);
+  ProgramDatabase DB;
+  const bool HaveDB = !Req.Database.empty();
+  if (HaveDB) {
+    std::string Error;
+    if (!ProgramDatabase::deserialize(Req.Database, DB, Error))
+      return Status::error("bad program database: " + Error);
+    if (!DB.ConfigFingerprint.empty() && DB.ConfigFingerprint != FullFP)
+      return Status::error(
+          "bad program database: database was produced under a different "
+          "configuration (fingerprint " +
+          DB.ConfigFingerprint + ", expected " + FullFP +
+          "); re-run the analyzer with matching options");
+  }
   bool AllCached = !Req.Modules.empty();
   for (const SourceFile &Source : Req.Modules) {
-    ObjectResult R = compileObjectImpl(Source, Req.Database);
-    if (!R.ok())
-      return std::move(static_cast<Status &>(R));
-    if (R.FromCache) {
+    // A standalone request has no summary to compute the precise
+    // database slice from; the whole database text stands in.
+    ModuleUnit M(Source);
+    ModulePipelineStats MS;
+    ObjectArtifact A =
+        objectKernel(M, HaveDB ? &DB : nullptr, Req.Database, MS);
+    if (!A.ok())
+      return std::move(static_cast<Status &>(A));
+    if (A.FromCache) {
       ++Resp.Stats.Phase2CacheHits;
-      Resp.Stats.CacheBytesSaved += R.ObjectText.size();
+      Resp.Stats.CacheBytesSaved += A.Text.size();
     } else {
       ++Resp.Stats.Phase2CacheMisses;
       AllCached = false;
     }
-    Resp.Stats.ObjectBytes += R.ObjectText.size();
-    Resp.Objects.push_back(std::move(R.ObjectText));
+    Resp.Stats.ObjectBytes += A.Text.size();
+    Resp.Objects.push_back(std::move(A.Text));
   }
   Resp.FromCache = AllCached;
   return Status::success();
@@ -952,9 +778,15 @@ Status Pipeline::executeObject(const BuildRequest &Req,
 Status Pipeline::executeLink(const BuildRequest &Req, BuildResponse &Resp) {
   ScopedTimerMs Total(Resp.Stats.TotalMs);
   ScopedTimerMs Timer(Resp.Stats.LinkMs);
-  LinkedResult R = linkImpl(Req.Objects);
-  Resp.Exe = std::move(R.Exe);
-  return std::move(static_cast<Status &>(R));
+  std::vector<ObjectFile> Parsed;
+  for (const std::string &Text : Req.Objects) {
+    ObjectFile Obj;
+    std::string Error;
+    if (!readObjectFile(Text, Obj, Error))
+      return Status::error("bad object file: " + Error);
+    Parsed.push_back(std::move(Obj));
+  }
+  return linkStatus(linkObjects(Parsed), Resp.Exe);
 }
 
 Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
@@ -966,25 +798,23 @@ Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
   std::vector<SourceFile> AllSources = Req.Modules;
   AllSources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
   std::vector<ModuleSummary> Summaries;
-  bool AllCached = !AllSources.empty();
+  bool AllCached = true;
   {
     ScopedTimerMs Timer(Resp.Stats.Phase1Ms);
     for (const SourceFile &Source : AllSources) {
-      SummaryResult R = compileSummaryImpl(Source);
-      if (!R.ok())
-        return std::move(static_cast<Status &>(R));
-      ModuleSummary S;
-      std::string Error;
-      if (!readSummary(R.SummaryText, S, Error))
-        return Status::error("bad summary file: " + Error);
-      if (R.FromCache) {
+      ModuleUnit M(Source);
+      ModulePipelineStats MS;
+      SummaryArtifact A = summaryKernel(M, MS);
+      if (!A.ok())
+        return std::move(static_cast<Status &>(A));
+      if (A.FromCache) {
         ++Resp.Stats.Phase1CacheHits;
-        Resp.Stats.CacheBytesSaved += R.SummaryText.size();
+        Resp.Stats.CacheBytesSaved += A.Text.size();
       } else {
         ++Resp.Stats.Phase1CacheMisses;
         AllCached = false;
       }
-      Summaries.push_back(std::move(S));
+      Summaries.push_back(std::move(A.Summary));
     }
   }
   // Mod/ref verdicts run even under --modref=off: the flag gates what

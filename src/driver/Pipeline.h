@@ -28,21 +28,28 @@
 ///    so a database change recompiles only the modules whose slice
 ///    actually moved (the recompilation avoidance §6 calls for).
 ///
+/// Each compiler phase has one per-module kernel that every entry point
+/// maps over its modules: build() runs the phase-1 kernel over the
+/// modules plus the runtime as one parallel job per module, then the
+/// analyzer, then the phase-2 kernel the same way, then links;
+/// compileSummary, compileObject and lint call the same kernels. A
+/// module's front end runs lazily inside the kernels, so a module whose
+/// artifacts all hit the cache is never parsed and a cold build parses
+/// each module once for both phases.
+///
 /// Cache entries are validated by parsing; a corrupt or truncated entry
 /// is a miss that gets recomputed and overwritten. Failures are never
 /// cached. Cached and cold builds produce byte-identical artifacts at
 /// every thread count.
 ///
 /// The artifact cache and the retained delta-analysis state are held by
-/// shared_ptr: a Pipeline constructed bare owns private instances
-/// (matching the old behaviour), while the build service injects one
-/// shared cache across all programs and one AnalyzerSession per program
-/// so hot state survives Pipeline reconstruction.
+/// shared_ptr: a Pipeline constructed bare owns private instances,
+/// while the build service injects one shared cache across all programs
+/// and one AnalyzerSession per program so hot state survives Pipeline
+/// reconstruction.
 ///
-/// The free functions in Driver.h (compileProgram, runPhase1, ...) are
-/// deprecated wrappers over this class; each call constructs a fresh
-/// Pipeline. Hold a Pipeline (and/or set PipelineConfig::CacheDir) to
-/// get reuse across builds.
+/// Hold a Pipeline (and/or set PipelineConfig::CacheDir) to get reuse
+/// across builds; a temporary Pipeline behaves like a cold build.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -183,10 +190,24 @@ private:
   Status executeFull(const BuildRequest &Req, BuildResponse &Resp);
   Status executeLint(const BuildRequest &Req, BuildResponse &Resp);
 
-  SummaryResult compileSummaryImpl(const SourceFile &Source);
-  ObjectResult compileObjectImpl(const SourceFile &Source,
-                                 const std::string &DatabaseText);
-  LinkedResult linkImpl(const std::vector<std::string> &ObjectTexts);
+  /// One module's source with its front end run lazily, and the two
+  /// per-module phase kernels every entry point maps over modules
+  /// (defined in Pipeline.cpp).
+  class ModuleUnit;
+  struct SummaryArtifact;
+  struct ObjectArtifact;
+
+  /// Compiler first phase on one module, through the cache: front end,
+  /// IR, points-to, optimization, trial codegen, summary (plus GPG
+  /// residue), round-trip. Times land in \p MS.
+  SummaryArtifact summaryKernel(ModuleUnit &M, ModulePipelineStats &MS);
+  /// Compiler second phase on one module under \p DB (null: baseline
+  /// convention), through the cache keyed on \p DbKey — the module's
+  /// database slice in build(), the whole database text in
+  /// compileObject().
+  ObjectArtifact objectKernel(ModuleUnit &M, const ProgramDatabase *DB,
+                              const std::string &DbKey,
+                              ModulePipelineStats &MS);
   BuildResult buildImpl(const std::vector<SourceFile> &Sources,
                         const ProfileData *Profile, DeltaStats *OutDS);
 

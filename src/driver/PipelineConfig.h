@@ -96,7 +96,7 @@ struct PipelineConfig {
   bool CallerSavePropagation = false;
   /// §7.2: set false when the sources are a library fragment rather
   /// than a whole program (only meaningful for the phase-granular API;
-  /// compileProgram always has main and the runtime).
+  /// Pipeline::build always has main and the runtime).
   bool AssumeClosedWorld = true;
   WebOptions Webs;
   ClusterOptions Clusters;

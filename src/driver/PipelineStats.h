@@ -8,9 +8,9 @@
 /// \file
 /// Wall-clock and artifact-size instrumentation for one pipeline run:
 /// per-phase and per-module timings, serialized artifact byte counts,
-/// and the thread count the driver ran with. Collected by
-/// compileProgram() and printable via toString() (the mcc --stats
-/// path).
+/// and the thread count the build ran with. Collected by
+/// Pipeline::build(), which fills each module's slot from that module's
+/// own job, and printable via toString() (the mcc --stats path).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,10 +40,10 @@ struct ModulePipelineStats {
   bool Phase2FromCache = false;
 };
 
-/// Instrumentation for one compileProgram() run.
+/// Instrumentation for one Pipeline::build() run.
 struct PipelineStats {
   unsigned ThreadsUsed = 1;
-  double FrontEndMs = 0;
+  double FrontEndMs = 0; ///< Summed across modules (runs inside phase 1/2).
   double Phase1Ms = 0;   ///< Zero when the analyzer is off.
   double AnalyzerMs = 0; ///< Whole analyzer step, including cache I/O.
   double Phase2Ms = 0;

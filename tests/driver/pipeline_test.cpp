@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace ipra;
 
 namespace {
@@ -17,11 +19,12 @@ namespace {
 RunResult runOk(const std::vector<SourceFile> &Sources,
                 const PipelineConfig &Config,
                 const ProfileData *Profile = nullptr) {
-  auto R = compileAndRun(Sources, Config, Profile);
-  EXPECT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
-  EXPECT_TRUE(R.Run.Halted) << "trap: " << R.Run.Trap
-                            << (R.Run.OutOfFuel ? " (out of fuel)" : "");
-  return R.Run;
+  BuildResult R = Pipeline(Config).build(Sources, Profile);
+  RunResult Run = R.ok() ? runExecutable(R.Exe) : RunResult();
+  EXPECT_TRUE(R.ok()) << R.text();
+  EXPECT_TRUE(Run.Halted) << "trap: " << Run.Trap
+                           << (Run.OutOfFuel ? " (out of fuel)" : "");
+  return Run;
 }
 
 TEST(PipelineTest, HelloBaseline) {
@@ -266,45 +269,46 @@ TEST(PipelineTest, ReadOnlyPromotionDropsStoresKeepsOutput) {
   PipelineConfig Off = PipelineConfig::configC();
   Off.ModRef = false;
 
-  auto OnR = compileAndRun(Sources, On);
-  auto OffR = compileAndRun(Sources, Off);
-  ASSERT_TRUE(OnR.Compile.Success) << OnR.Compile.ErrorText;
-  ASSERT_TRUE(OffR.Compile.Success) << OffR.Compile.ErrorText;
-  ASSERT_TRUE(OnR.Run.Halted) << OnR.Run.Trap;
-  ASSERT_TRUE(OffR.Run.Halted) << OffR.Run.Trap;
+  BuildResult OnR = Pipeline(On).build(Sources);
+  RunResult OnRun = OnR.ok() ? runExecutable(OnR.Exe) : RunResult();
+  BuildResult OffR = Pipeline(Off).build(Sources);
+  RunResult OffRun = OffR.ok() ? runExecutable(OffR.Exe) : RunResult();
+  ASSERT_TRUE(OnR.ok()) << OnR.text();
+  ASSERT_TRUE(OffR.ok()) << OffR.text();
+  ASSERT_TRUE(OnRun.Halted) << OnRun.Trap;
+  ASSERT_TRUE(OffRun.Halted) << OffRun.Trap;
 
   // Dropping provably dead stores must not change observable behaviour.
-  EXPECT_EQ(OnR.Run.Output, OffR.Run.Output);
-  EXPECT_EQ(OnR.Run.ExitCode, OffR.Run.ExitCode);
+  EXPECT_EQ(OnRun.Output, OffRun.Output);
+  EXPECT_EQ(OnRun.ExitCode, OffRun.ExitCode);
 
   // ...but it must actually drop them: strictly fewer simulator memory
   // references, and the database carries the verdict that justifies it.
-  EXPECT_LT(OnR.Run.Stats.MemRefs, OffR.Run.Stats.MemRefs);
-  EXPECT_NE(OnR.Compile.DatabaseFile.find("modref cfg"), std::string::npos);
-  EXPECT_EQ(OffR.Compile.DatabaseFile.find("modref"), std::string::npos);
+  EXPECT_LT(OnRun.Stats.MemRefs, OffRun.Stats.MemRefs);
+  EXPECT_NE(OnR.DatabaseFile.find("modref cfg"), std::string::npos);
+  EXPECT_EQ(OffR.DatabaseFile.find("modref"), std::string::npos);
 }
 
 TEST(PipelineTest, CompileErrorsAreReported) {
-  auto R = compileProgram({{"bad.mc", "int main() { return x; }\n"}},
-                          PipelineConfig::baseline());
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("undeclared"), std::string::npos);
+  BuildResult R = Pipeline(PipelineConfig::baseline())
+                       .build({{"bad.mc", "int main() { return x; }\n"}});
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("undeclared"), std::string::npos);
 }
 
 TEST(PipelineTest, LinkErrorUndefinedFunction) {
-  auto R = compileProgram(
-      {{"main.mc", "int missing(int);\n"
-                   "int main() { return missing(1); }\n"}},
-      PipelineConfig::baseline());
-  EXPECT_FALSE(R.Success);
-  EXPECT_NE(R.ErrorText.find("missing"), std::string::npos);
+  BuildResult R = Pipeline(PipelineConfig::baseline())
+                       .build({{"main.mc", "int missing(int);\n"
+                                           "int main() { return missing(1); }\n"}});
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.text().find("missing"), std::string::npos);
 }
 
 TEST(PipelineTest, SummaryAndDatabaseArtifactsProduced) {
-  auto R = compileProgram({{"main.mc", "int g;\n"
-                                       "int main() { g = 1; return g; }\n"}},
-                          PipelineConfig::configC());
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R = Pipeline(PipelineConfig::configC())
+                       .build({{"main.mc", "int g;\n"
+                                           "int main() { g = 1; return g; }\n"}});
+  ASSERT_TRUE(R.ok()) << R.text();
   EXPECT_EQ(R.SummaryFiles.size(), 2u); // main.mc + runtime.
   EXPECT_NE(R.DatabaseFile.find("proc main"), std::string::npos);
 }
@@ -398,19 +402,21 @@ TEST(PipelineTest, WebSplittingPromotesSparseWebRegions) {
   PipelineConfig Split = PipelineConfig::configC();
   Split.Webs.SplitSparseWebs = true;
 
-  auto PlainR = compileAndRun(Sources, Plain);
-  auto SplitR = compileAndRun(Sources, Split);
-  ASSERT_TRUE(PlainR.Compile.Success) << PlainR.Compile.ErrorText;
-  ASSERT_TRUE(SplitR.Compile.Success) << SplitR.Compile.ErrorText;
-  ASSERT_TRUE(PlainR.Run.Halted) << PlainR.Run.Trap;
-  ASSERT_TRUE(SplitR.Run.Halted) << SplitR.Run.Trap;
-  EXPECT_EQ(SplitR.Run.Output, PlainR.Run.Output);
+  BuildResult PlainR = Pipeline(Plain).build(Sources);
+  RunResult PlainRun = PlainR.ok() ? runExecutable(PlainR.Exe) : RunResult();
+  BuildResult SplitR = Pipeline(Split).build(Sources);
+  RunResult SplitRun = SplitR.ok() ? runExecutable(SplitR.Exe) : RunResult();
+  ASSERT_TRUE(PlainR.ok()) << PlainR.text();
+  ASSERT_TRUE(SplitR.ok()) << SplitR.text();
+  ASSERT_TRUE(PlainRun.Halted) << PlainRun.Trap;
+  ASSERT_TRUE(SplitRun.Halted) << SplitRun.Trap;
+  EXPECT_EQ(SplitRun.Output, PlainRun.Output);
 
-  EXPECT_EQ(PlainR.Compile.Stats.SplitWebs, 0);
-  EXPECT_GE(SplitR.Compile.Stats.SplitWebs, 2);
-  EXPECT_LT(SplitR.Run.Stats.SingletonRefs,
-            PlainR.Run.Stats.SingletonRefs);
-  EXPECT_LT(SplitR.Run.Stats.Cycles, PlainR.Run.Stats.Cycles);
+  EXPECT_EQ(PlainR.Analyzer.SplitWebs, 0);
+  EXPECT_GE(SplitR.Analyzer.SplitWebs, 2);
+  EXPECT_LT(SplitRun.Stats.SingletonRefs,
+            PlainRun.Stats.SingletonRefs);
+  EXPECT_LT(SplitRun.Stats.Cycles, PlainRun.Stats.Cycles);
 }
 
 TEST(PipelineTest, WebRemergingSharesOneEntryAtTheDominator) {
@@ -442,20 +448,23 @@ TEST(PipelineTest, WebRemergingSharesOneEntryAtTheDominator) {
   PipelineConfig Remerge = PipelineConfig::configC();
   Remerge.Webs.RemergeWebs = true;
 
-  auto PlainR = compileAndRun(Sources, Plain);
-  auto MergedR = compileAndRun(Sources, Remerge);
-  ASSERT_TRUE(PlainR.Compile.Success) << PlainR.Compile.ErrorText;
-  ASSERT_TRUE(MergedR.Compile.Success) << MergedR.Compile.ErrorText;
-  ASSERT_TRUE(PlainR.Run.Halted) << PlainR.Run.Trap;
-  ASSERT_TRUE(MergedR.Run.Halted) << MergedR.Run.Trap;
-  EXPECT_EQ(MergedR.Run.Output, PlainR.Run.Output);
+  BuildResult PlainR = Pipeline(Plain).build(Sources);
+  RunResult PlainRun = PlainR.ok() ? runExecutable(PlainR.Exe) : RunResult();
+  BuildResult MergedR = Pipeline(Remerge).build(Sources);
+  RunResult MergedRun =
+      MergedR.ok() ? runExecutable(MergedR.Exe) : RunResult();
+  ASSERT_TRUE(PlainR.ok()) << PlainR.text();
+  ASSERT_TRUE(MergedR.ok()) << MergedR.text();
+  ASSERT_TRUE(PlainRun.Halted) << PlainRun.Trap;
+  ASSERT_TRUE(MergedRun.Halted) << MergedRun.Trap;
+  EXPECT_EQ(MergedRun.Output, PlainRun.Output);
 
-  EXPECT_EQ(PlainR.Compile.Stats.RemergedWebs, 0);
-  EXPECT_EQ(MergedR.Compile.Stats.RemergedWebs, 1);
+  EXPECT_EQ(PlainR.Analyzer.RemergedWebs, 0);
+  EXPECT_EQ(MergedR.Analyzer.RemergedWebs, 1);
   // The per-call entry traffic on g disappears.
-  EXPECT_LT(MergedR.Run.Stats.SingletonRefs,
-            PlainR.Run.Stats.SingletonRefs);
-  EXPECT_LT(MergedR.Run.Stats.Cycles, PlainR.Run.Stats.Cycles);
+  EXPECT_LT(MergedRun.Stats.SingletonRefs,
+            PlainRun.Stats.SingletonRefs);
+  EXPECT_LT(MergedRun.Stats.Cycles, PlainRun.Stats.Cycles);
 }
 
 TEST(PipelineTest, DatabaseDiffDrivesSmartRecompilation) {
@@ -481,11 +490,12 @@ TEST(PipelineTest, DatabaseDiffDrivesSmartRecompilation) {
   PipelineConfig Config = PipelineConfig::configC();
 
   auto analyze = [&](const char *UtilSrc) {
-    auto S1 = runPhase1({"util.mc", UtilSrc}, Config);
-    auto S2 = runPhase1({"main.mc", Main}, Config);
-    EXPECT_TRUE(S1.Success && S2.Success);
-    auto A = runAnalyzerPhase({S1.SummaryText, S2.SummaryText}, Config);
-    EXPECT_TRUE(A.Success) << A.ErrorText;
+    SummaryResult S1 = Pipeline(Config).compileSummary({"util.mc", UtilSrc});
+    SummaryResult S2 = Pipeline(Config).compileSummary({"main.mc", Main});
+    EXPECT_TRUE(S1.ok() && S2.ok());
+    DatabaseResult A =
+        Pipeline(Config).analyze({S1.SummaryText, S2.SummaryText});
+    EXPECT_TRUE(A.ok()) << A.text();
     ProgramDatabase DB;
     std::string Error;
     EXPECT_TRUE(ProgramDatabase::deserialize(A.DatabaseText, DB, Error))
@@ -544,16 +554,17 @@ TEST(PipelineTest, CrossModuleStaticWebNotPromoted) {
   std::vector<SourceFile> Sources = {{"a.mc", ModA}, {"b.mc", ModB}};
 
   auto Base = runOk(Sources, PipelineConfig::baseline());
-  auto R = compileAndRun(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
-  ASSERT_TRUE(R.Run.Halted) << R.Run.Trap;
-  EXPECT_EQ(R.Run.Output, Base.Output);
+  BuildResult R = Pipeline(PipelineConfig::configC()).build(Sources);
+  RunResult Run = R.ok() ? runExecutable(R.Exe) : RunResult();
+  ASSERT_TRUE(R.ok()) << R.text();
+  ASSERT_TRUE(Run.Halted) << Run.Trap;
+  EXPECT_EQ(Run.Output, Base.Output);
 
   // No directive in a.mc's procedures may promote b.mc:s.
   ProgramDatabase DB;
   std::string Error;
   ASSERT_TRUE(
-      ProgramDatabase::deserialize(R.Compile.DatabaseFile, DB, Error));
+      ProgramDatabase::deserialize(R.DatabaseFile, DB, Error));
   for (const char *Proc : {"main", "drive"})
     for (const PromotedGlobal &P : DB.lookup(Proc).Promoted)
       EXPECT_NE(P.QualName, "b.mc:s") << Proc;
@@ -562,10 +573,10 @@ TEST(PipelineTest, CrossModuleStaticWebNotPromoted) {
 TEST(PipelineTest, RuntimePrintsParticipatesInAnalysis) {
   // __prints comes from the injected runtime module and shows up in the
   // summaries and the database like any other procedure.
-  auto R = compileProgram(
-      {{"m.mc", "int main() { prints(\"hi\"); return 0; }\n"}},
-      PipelineConfig::configC());
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R =
+      Pipeline(PipelineConfig::configC())
+          .build({{"m.mc", "int main() { prints(\"hi\"); return 0; }\n"}});
+  ASSERT_TRUE(R.ok()) << R.text();
   bool Found = false;
   for (const std::string &S : R.SummaryFiles)
     Found |= S.find("proc __prints") != std::string::npos;
@@ -601,16 +612,17 @@ TEST(PipelineTest, ApproximateSummariesStaySound) {
        "}\n"}};
   PipelineConfig Config = PipelineConfig::configC();
 
-  auto Exact = compileAndRun(Sources, Config);
-  ASSERT_TRUE(Exact.Compile.Success) << Exact.Compile.ErrorText;
-  ASSERT_TRUE(Exact.Run.Halted);
+  BuildResult Exact = Pipeline(Config).build(Sources);
+  RunResult ExactRun = Exact.ok() ? runExecutable(Exact.Exe) : RunResult();
+  ASSERT_TRUE(Exact.ok()) << Exact.text();
+  ASSERT_TRUE(ExactRun.Halted);
 
   std::vector<SourceFile> All = Sources;
   All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
   std::vector<std::string> Degraded;
   for (const SourceFile &Src : All) {
-    auto P1 = runPhase1(Src, Config);
-    ASSERT_TRUE(P1.Success) << P1.ErrorText;
+    SummaryResult P1 = Pipeline(Config).compileSummary(Src);
+    ASSERT_TRUE(P1.ok()) << P1.text();
     ModuleSummary S;
     std::string Error;
     ASSERT_TRUE(readSummary(P1.SummaryText, S, Error)) << Error;
@@ -620,21 +632,22 @@ TEST(PipelineTest, ApproximateSummariesStaySound) {
     }
     Degraded.push_back(writeSummary(S));
   }
-  auto Analyzed = runAnalyzerPhase(Degraded, Config);
-  ASSERT_TRUE(Analyzed.Success) << Analyzed.ErrorText;
+  DatabaseResult Analyzed = Pipeline(Config).analyze(Degraded);
+  ASSERT_TRUE(Analyzed.ok()) << Analyzed.text();
 
   std::vector<std::string> Objects;
   for (const SourceFile &Src : All) {
-    auto P2 = runPhase2(Src, Analyzed.DatabaseText, Config);
-    ASSERT_TRUE(P2.Success) << Src.Name << ": " << P2.ErrorText;
+    ObjectResult P2 =
+        Pipeline(Config).compileObject(Src, Analyzed.DatabaseText);
+    ASSERT_TRUE(P2.ok()) << Src.Name << ": " << P2.text();
     Objects.push_back(P2.ObjectText);
   }
-  auto Linked = linkObjectTexts(Objects);
-  ASSERT_TRUE(Linked.Success) << Linked.ErrorText;
+  LinkedResult Linked = Pipeline(PipelineConfig()).link(Objects);
+  ASSERT_TRUE(Linked.ok()) << Linked.text();
   RunResult R = runExecutable(Linked.Exe, 500'000'000);
   ASSERT_TRUE(R.Halted) << R.Trap;
-  EXPECT_EQ(R.Output, Exact.Run.Output);
-  EXPECT_EQ(R.ExitCode, Exact.Run.ExitCode);
+  EXPECT_EQ(R.Output, ExactRun.Output);
+  EXPECT_EQ(R.ExitCode, ExactRun.ExitCode);
 }
 
 TEST(PipelineTest, SeparateCompilationMatchesMonolithic) {
@@ -662,8 +675,9 @@ TEST(PipelineTest, SeparateCompilationMatchesMonolithic) {
   PipelineConfig Config = PipelineConfig::configC();
 
   // Fused pipeline (adds the runtime module itself).
-  auto Fused = compileAndRun(Sources, Config);
-  ASSERT_TRUE(Fused.Compile.Success) << Fused.Compile.ErrorText;
+  BuildResult Fused = Pipeline(Config).build(Sources);
+  RunResult FusedRun = Fused.ok() ? runExecutable(Fused.Exe) : RunResult();
+  ASSERT_TRUE(Fused.ok()) << Fused.text();
 
   // Hand-run phases, runtime module included explicitly.
   std::vector<SourceFile> All = Sources;
@@ -671,29 +685,35 @@ TEST(PipelineTest, SeparateCompilationMatchesMonolithic) {
 
   std::vector<std::string> Summaries;
   for (const SourceFile &Src : All) {
-    auto P1 = runPhase1(Src, Config);
-    ASSERT_TRUE(P1.Success) << Src.Name << ": " << P1.ErrorText;
+    SummaryResult P1 = Pipeline(Config).compileSummary(Src);
+    ASSERT_TRUE(P1.ok()) << Src.Name << ": " << P1.text();
     Summaries.push_back(P1.SummaryText);
   }
-  auto Analyzed = runAnalyzerPhase(Summaries, Config);
-  ASSERT_TRUE(Analyzed.Success) << Analyzed.ErrorText;
+  DatabaseResult Analyzed = Pipeline(Config).analyze(Summaries);
+  ASSERT_TRUE(Analyzed.ok()) << Analyzed.text();
 
   std::vector<std::string> Objects;
   for (auto It = All.rbegin(); It != All.rend(); ++It) { // Reverse!
-    auto P2 = runPhase2(*It, Analyzed.DatabaseText, Config);
-    ASSERT_TRUE(P2.Success) << It->Name << ": " << P2.ErrorText;
+    ObjectResult P2 =
+        Pipeline(Config).compileObject(*It, Analyzed.DatabaseText);
+    ASSERT_TRUE(P2.ok()) << It->Name << ": " << P2.text();
     Objects.push_back(P2.ObjectText);
   }
-  auto Linked = linkObjectTexts(Objects);
-  ASSERT_TRUE(Linked.Success) << Linked.ErrorText;
+  LinkedResult Linked = Pipeline(PipelineConfig()).link(Objects);
+  ASSERT_TRUE(Linked.ok()) << Linked.text();
 
   auto R = runExecutable(Linked.Exe);
   ASSERT_TRUE(R.Halted) << R.Trap;
-  EXPECT_EQ(R.Output, Fused.Run.Output);
-  EXPECT_EQ(R.ExitCode, Fused.Run.ExitCode);
+  EXPECT_EQ(R.Output, FusedRun.Output);
+  EXPECT_EQ(R.ExitCode, FusedRun.ExitCode);
   // Same code quality too: identical cycle counts.
-  EXPECT_EQ(R.Stats.Cycles, Fused.Run.Stats.Cycles);
-  EXPECT_EQ(R.Stats.SingletonRefs, Fused.Run.Stats.SingletonRefs);
+  EXPECT_EQ(R.Stats.Cycles, FusedRun.Stats.Cycles);
+  EXPECT_EQ(R.Stats.SingletonRefs, FusedRun.Stats.SingletonRefs);
+  // Both paths run the same phase kernels: byte-identical artifacts.
+  EXPECT_EQ(Summaries, Fused.SummaryFiles);
+  EXPECT_EQ(Analyzed.DatabaseText, Fused.DatabaseFile);
+  std::reverse(Objects.begin(), Objects.end());
+  EXPECT_EQ(Objects, Fused.ObjectFiles);
 }
 
 TEST(PipelineTest, ProfileCollectionMatchesCallStructure) {
@@ -739,11 +759,11 @@ TEST(ParallelPipelineTest, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   for (PipelineConfig Config :
        {PipelineConfig::baseline(), PipelineConfig::configC()}) {
     Config.NumThreads = 1;
-    auto Serial = compileProgram(multiModuleSources(), Config);
-    ASSERT_TRUE(Serial.Success) << Serial.ErrorText;
+    BuildResult Serial = Pipeline(Config).build(multiModuleSources());
+    ASSERT_TRUE(Serial.ok()) << Serial.text();
     Config.NumThreads = 8;
-    auto Parallel = compileProgram(multiModuleSources(), Config);
-    ASSERT_TRUE(Parallel.Success) << Parallel.ErrorText;
+    BuildResult Parallel = Pipeline(Config).build(multiModuleSources());
+    ASSERT_TRUE(Parallel.ok()) << Parallel.text();
 
     EXPECT_EQ(Serial.SummaryFiles, Parallel.SummaryFiles);
     EXPECT_EQ(Serial.DatabaseFile, Parallel.DatabaseFile);
@@ -764,23 +784,23 @@ TEST(ParallelPipelineTest, ErrorsAreDeterministicAcrossThreadCounts) {
   };
   PipelineConfig Config = PipelineConfig::baseline();
   Config.NumThreads = 1;
-  auto Serial = compileProgram(Bad, Config);
+  BuildResult Serial = Pipeline(Config).build(Bad);
   Config.NumThreads = 8;
-  auto Parallel = compileProgram(Bad, Config);
-  EXPECT_FALSE(Serial.Success);
-  EXPECT_FALSE(Parallel.Success);
-  EXPECT_EQ(Serial.ErrorText, Parallel.ErrorText);
-  EXPECT_NE(Serial.ErrorText.find("oops"), std::string::npos);
-  EXPECT_NE(Serial.ErrorText.find("worse"), std::string::npos);
+  BuildResult Parallel = Pipeline(Config).build(Bad);
+  EXPECT_FALSE(Serial.ok());
+  EXPECT_FALSE(Parallel.ok());
+  EXPECT_EQ(Serial.text(), Parallel.text());
+  EXPECT_NE(Serial.text().find("oops"), std::string::npos);
+  EXPECT_NE(Serial.text().find("worse"), std::string::npos);
 }
 
 TEST(ParallelPipelineTest, PipelineStatsArePopulated) {
   PipelineConfig Config = PipelineConfig::configC();
   Config.NumThreads = 2;
-  auto R = compileProgram(multiModuleSources(), Config);
-  ASSERT_TRUE(R.Success) << R.ErrorText;
+  BuildResult R = Pipeline(Config).build(multiModuleSources());
+  ASSERT_TRUE(R.ok()) << R.text();
 
-  const PipelineStats &PS = R.Pipeline;
+  const PipelineStats &PS = R.Stats;
   EXPECT_EQ(PS.ThreadsUsed, 2u);
   ASSERT_EQ(PS.Modules.size(), 4u); // 3 sources + runtime.
   EXPECT_EQ(PS.Modules[0].Name, "math.mc");

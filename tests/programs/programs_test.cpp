@@ -25,38 +25,42 @@ class ProgramTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(ProgramTest, BaselineRuns) {
   auto Sources = loadProgram(GetParam());
-  auto R = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(R.Compile.Success) << R.Compile.ErrorText;
-  ASSERT_TRUE(R.Run.Halted)
-      << R.Run.Trap << (R.Run.OutOfFuel ? " (out of fuel)" : "");
-  EXPECT_FALSE(R.Run.Output.empty());
-  EXPECT_EQ(R.Run.ExitCode, 0);
+  BuildResult R = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult Run = R.ok() ? runExecutable(R.Exe) : RunResult();
+  ASSERT_TRUE(R.ok()) << R.text();
+  ASSERT_TRUE(Run.Halted)
+      << Run.Trap << (Run.OutOfFuel ? " (out of fuel)" : "");
+  EXPECT_FALSE(Run.Output.empty());
+  EXPECT_EQ(Run.ExitCode, 0);
   // Keep the simulation budget sane: under 100M cycles per program.
-  EXPECT_LT(R.Run.Stats.Cycles, 100'000'000);
-  EXPECT_GT(R.Run.Stats.Cycles, 1'000);
+  EXPECT_LT(Run.Stats.Cycles, 100'000'000);
+  EXPECT_GT(Run.Stats.Cycles, 1'000);
 }
 
 TEST_P(ProgramTest, ConfigCMatchesBaselineOutput) {
   auto Sources = loadProgram(GetParam());
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+  ASSERT_TRUE(Base.ok()) << Base.text();
+  ASSERT_TRUE(BaseRun.Halted) << BaseRun.Trap;
 
-  auto WithC = compileAndRun(Sources, PipelineConfig::configC());
-  ASSERT_TRUE(WithC.Compile.Success) << WithC.Compile.ErrorText;
-  ASSERT_TRUE(WithC.Run.Halted) << WithC.Run.Trap;
+  BuildResult WithC = Pipeline(PipelineConfig::configC()).build(Sources);
+  RunResult WithCRun = WithC.ok() ? runExecutable(WithC.Exe) : RunResult();
+  ASSERT_TRUE(WithC.ok()) << WithC.text();
+  ASSERT_TRUE(WithCRun.Halted) << WithCRun.Trap;
 
-  EXPECT_EQ(WithC.Run.Output, Base.Run.Output);
-  EXPECT_EQ(WithC.Run.ExitCode, Base.Run.ExitCode);
+  EXPECT_EQ(WithCRun.Output, BaseRun.Output);
+  EXPECT_EQ(WithCRun.ExitCode, BaseRun.ExitCode);
   // Promotion must not add singleton references.
-  EXPECT_LE(WithC.Run.Stats.SingletonRefs, Base.Run.Stats.SingletonRefs);
+  EXPECT_LE(WithCRun.Stats.SingletonRefs, BaseRun.Stats.SingletonRefs);
 }
 
 TEST_P(ProgramTest, AllRemainingConfigsMatch) {
   auto Sources = loadProgram(GetParam());
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Run.Halted) << Base.Run.Trap;
-  ProfileData Profile = Base.Run.Profile;
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+  ASSERT_TRUE(BaseRun.Halted) << BaseRun.Trap;
+  ProfileData Profile = BaseRun.Profile;
 
   struct Named {
     const char *Name;
@@ -70,11 +74,12 @@ TEST_P(ProgramTest, AllRemainingConfigsMatch) {
       {"F", PipelineConfig::configF()},
   };
   for (const Named &N : Configs) {
-    auto R = compileAndRun(Sources, N.Config, &Profile);
-    ASSERT_TRUE(R.Compile.Success)
-        << N.Name << ": " << R.Compile.ErrorText;
-    ASSERT_TRUE(R.Run.Halted) << N.Name << ": " << R.Run.Trap;
-    EXPECT_EQ(R.Run.Output, Base.Run.Output) << "config " << N.Name;
+    BuildResult R = Pipeline(N.Config).build(Sources, &Profile);
+    RunResult Run = R.ok() ? runExecutable(R.Exe) : RunResult();
+    ASSERT_TRUE(R.ok())
+        << N.Name << ": " << R.text();
+    ASSERT_TRUE(Run.Halted) << N.Name << ": " << Run.Trap;
+    EXPECT_EQ(Run.Output, BaseRun.Output) << "config " << N.Name;
   }
 }
 

@@ -19,6 +19,7 @@
 #include "ProgramGen.h"
 
 #include "core/Analyzer.h"
+#include "driver/Driver.h"
 #include "ir/IRGen.h"
 #include "ir/Interp.h"
 #include "lang/Lexer.h"
@@ -43,12 +44,13 @@ class DifferentialTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(DifferentialTest, AllConfigsBehaveIdentically) {
   auto Sources = generateRandomProgram(GetParam());
 
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  ASSERT_TRUE(Base.Run.Halted)
-      << Base.Run.Trap << (Base.Run.OutOfFuel ? " (fuel)" : "");
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+  ASSERT_TRUE(Base.ok()) << Base.text();
+  ASSERT_TRUE(BaseRun.Halted)
+      << BaseRun.Trap << (BaseRun.OutOfFuel ? " (fuel)" : "");
 
-  ProfileData Profile = Base.Run.Profile;
+  ProfileData Profile = BaseRun.Profile;
   struct Named {
     const char *Name;
     PipelineConfig Config;
@@ -78,12 +80,12 @@ TEST_P(DifferentialTest, AllConfigsBehaveIdentically) {
   Configs.push_back({"C+split+merge", WithBoth});
 
   for (const Named &N : Configs) {
-    auto R = compileAndRun(Sources, N.Config, &Profile);
-    ASSERT_TRUE(R.Compile.Success)
-        << "config " << N.Name << ": " << R.Compile.ErrorText;
-    ASSERT_TRUE(R.Run.Halted) << "config " << N.Name << ": " << R.Run.Trap;
-    ASSERT_EQ(R.Run.Output, Base.Run.Output) << "config " << N.Name;
-    ASSERT_EQ(R.Run.ExitCode, Base.Run.ExitCode) << "config " << N.Name;
+    BuildResult R = Pipeline(N.Config).build(Sources, &Profile);
+    RunResult Run = R.ok() ? runExecutable(R.Exe) : RunResult();
+    ASSERT_TRUE(R.ok()) << "config " << N.Name << ": " << R.text();
+    ASSERT_TRUE(Run.Halted) << "config " << N.Name << ": " << Run.Trap;
+    ASSERT_EQ(Run.Output, BaseRun.Output) << "config " << N.Name;
+    ASSERT_EQ(Run.ExitCode, BaseRun.ExitCode) << "config " << N.Name;
   }
 }
 
@@ -99,17 +101,18 @@ class WallDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(WallDifferentialTest, LinkTimeAllocationPreservesBehaviour) {
   auto Sources = generateRandomProgram(GetParam());
 
-  auto Base = compileAndRun(Sources, PipelineConfig::baseline());
-  ASSERT_TRUE(Base.Compile.Success) << Base.Compile.ErrorText;
-  ASSERT_TRUE(Base.Run.Halted)
-      << Base.Run.Trap << (Base.Run.OutOfFuel ? " (fuel)" : "");
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  RunResult BaseRun = Base.ok() ? runExecutable(Base.Exe) : RunResult();
+  ASSERT_TRUE(Base.ok()) << Base.text();
+  ASSERT_TRUE(BaseRun.Halted)
+      << BaseRun.Trap << (BaseRun.OutOfFuel ? " (fuel)" : "");
 
   auto Wall = compileWallStyle(Sources);
   ASSERT_TRUE(Wall.Success) << Wall.ErrorText;
   RunResult R = runExecutable(Wall.Exe, 500'000'000);
   ASSERT_TRUE(R.Halted) << R.Trap;
-  ASSERT_EQ(R.Output, Base.Run.Output);
-  ASSERT_EQ(R.ExitCode, Base.Run.ExitCode);
+  ASSERT_EQ(R.Output, BaseRun.Output);
+  ASSERT_EQ(R.ExitCode, BaseRun.ExitCode);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WallDifferentialTest,
@@ -143,17 +146,90 @@ TEST_P(InterpDifferentialTest, IRInterpreterMatchesSimulator) {
   auto IRRun = interpretIR(Ptrs);
   ASSERT_TRUE(IRRun.Ok) << IRRun.Error;
 
-  auto Machine = compileAndRun(
-      std::vector<SourceFile>(Sources.begin(), Sources.end() - 1),
-      PipelineConfig::configC());
-  ASSERT_TRUE(Machine.Compile.Success) << Machine.Compile.ErrorText;
-  ASSERT_TRUE(Machine.Run.Halted) << Machine.Run.Trap;
-  EXPECT_EQ(Machine.Run.Output, IRRun.Output);
-  EXPECT_EQ(Machine.Run.ExitCode, IRRun.ExitCode);
+  BuildResult Machine = Pipeline(PipelineConfig::configC())
+                            .build(std::vector<SourceFile>(Sources.begin(),
+                                                           Sources.end() - 1));
+  RunResult MachineRun =
+      Machine.ok() ? runExecutable(Machine.Exe) : RunResult();
+  ASSERT_TRUE(Machine.ok()) << Machine.text();
+  ASSERT_TRUE(MachineRun.Halted) << MachineRun.Trap;
+  EXPECT_EQ(MachineRun.Output, IRRun.Output);
+  EXPECT_EQ(MachineRun.ExitCode, IRRun.ExitCode);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpDifferentialTest,
                          ::testing::Range(60u, 100u));
+
+/// Renders a linked executable as text (symbols, then code) so two links
+/// can be compared byte for byte.
+std::string renderExecutable(const Executable &Exe) {
+  std::string Out = "data " + std::to_string(Exe.DataWords) + "\n";
+  for (int32_t W : Exe.DataInit)
+    Out += std::to_string(W) + " ";
+  Out += "\n";
+  for (const ExeSymbol &Sym : Exe.Symbols)
+    Out += Sym.QualName + " " + std::to_string(Sym.Start) + " " +
+           std::to_string(Sym.End) + "\n";
+  for (const MInstr &I : Exe.Code)
+    Out += I.toString() + "\n";
+  return Out;
+}
+
+/// Every entry point runs the same per-module phase kernels, so the
+/// fused build() must produce exactly the artifacts of the staged path
+/// compileSummary -> analyze -> compileObject -> link, whatever the
+/// thread count.
+class FusedStagedTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FusedStagedTest, FusedBuildMatchesStagedPhases) {
+  auto Sources = generateRandomProgram(GetParam());
+  BuildResult Base = Pipeline(PipelineConfig::baseline()).build(Sources);
+  ASSERT_TRUE(Base.ok()) << Base.text();
+  ProfileData Profile = runExecutable(Base.Exe).Profile;
+
+  std::vector<SourceFile> All = Sources;
+  All.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
+  const std::pair<const char *, PipelineConfig> Configs[] = {
+      {"A", PipelineConfig::configA()}, {"B", PipelineConfig::configB()},
+      {"C", PipelineConfig::configC()}, {"D", PipelineConfig::configD()},
+      {"E", PipelineConfig::configE()}, {"F", PipelineConfig::configF()},
+  };
+  for (auto [Name, Config] : Configs) {
+    for (int Threads : {1, 4}) {
+      SCOPED_TRACE(std::string("config ") + Name + ", threads " +
+                   std::to_string(Threads));
+      Config.NumThreads = Threads;
+      const ProfileData *P = Config.UseProfile ? &Profile : nullptr;
+      BuildResult Fused = Pipeline(Config).build(Sources, P);
+      ASSERT_TRUE(Fused.ok()) << Fused.text();
+
+      Pipeline Staged(Config);
+      std::vector<std::string> Summaries;
+      for (const SourceFile &Src : All) {
+        SummaryResult S = Staged.compileSummary(Src);
+        ASSERT_TRUE(S.ok()) << Src.Name << ": " << S.text();
+        Summaries.push_back(S.SummaryText);
+      }
+      DatabaseResult DB = Staged.analyze(Summaries, P);
+      ASSERT_TRUE(DB.ok()) << DB.text();
+      std::vector<std::string> Objects;
+      for (const SourceFile &Src : All) {
+        ObjectResult O = Staged.compileObject(Src, DB.DatabaseText);
+        ASSERT_TRUE(O.ok()) << Src.Name << ": " << O.text();
+        Objects.push_back(O.ObjectText);
+      }
+      LinkedResult Linked = Staged.link(Objects);
+      ASSERT_TRUE(Linked.ok()) << Linked.text();
+
+      EXPECT_EQ(Fused.SummaryFiles, Summaries);
+      EXPECT_EQ(Fused.DatabaseFile, DB.DatabaseText);
+      EXPECT_EQ(Fused.ObjectFiles, Objects);
+      EXPECT_EQ(renderExecutable(Fused.Exe), renderExecutable(Linked.Exe));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FusedStagedTest, ::testing::Range(1u, 21u));
 
 //===----------------------------------------------------------------------===//
 // Family 2: analyzer invariants over random call graphs.
