@@ -15,6 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
+
 #include "analysis/IPRAVerify.h"
 #include "analysis/ModRef.h"
 #include "driver/Pipeline.h"
@@ -134,16 +136,25 @@ TEST(IPRAVerifyTest, CleanProgramVerifies) {
   EXPECT_TRUE(findEntry(L).F != nullptr);
 }
 
+// rotab keeps a store to its read-only tuning globals in a procedure
+// main never reaches: blanket promotion (config E) must honor the exact
+// read-only verdict and skip the exit store-back, as webs do.
 TEST(IPRAVerifyTest, CleanProgramVerifiesUnderEveryConfig) {
-  const PipelineConfig Configs[] = {
-      PipelineConfig::baseline(), PipelineConfig::configC(),
-      PipelineConfig::configD(), PipelineConfig::configE()};
-  for (const PipelineConfig &C : Configs) {
-    Linked L = compileLinked(webProgram(), C);
-    ASSERT_TRUE(L.R.ok());
-    IPRAVerifyResult V = verifyIPRA(L.Objects, L.DB);
-    EXPECT_TRUE(V.ok()) << V.text();
-  }
+  const std::pair<const char *, PipelineConfig> Configs[] = {
+      {"base", PipelineConfig::baseline()}, {"A", PipelineConfig::configA()},
+      {"B", PipelineConfig::configB()},     {"C", PipelineConfig::configC()},
+      {"D", PipelineConfig::configD()},     {"E", PipelineConfig::configE()},
+      {"F", PipelineConfig::configF()}};
+  const std::pair<const char *, std::vector<SourceFile>> Programs[] = {
+      {"web", webProgram()}, {"rotab", bench::loadProgram("rotab")}};
+  for (const auto &[Program, Sources] : Programs)
+    for (const auto &[Name, C] : Configs) {
+      SCOPED_TRACE(std::string(Program) + " under config " + Name);
+      Linked L = compileLinked(Sources, C);
+      ASSERT_TRUE(L.R.ok());
+      IPRAVerifyResult V = verifyIPRA(L.Objects, L.DB);
+      EXPECT_TRUE(V.ok()) << V.text();
+    }
 }
 
 //===--------------------------------------------------------------------===//
