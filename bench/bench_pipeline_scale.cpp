@@ -7,10 +7,11 @@
 ///
 /// The repo's first scaling benchmark: both compiler phases are
 /// independent per module (the paper's Figure 1), so the pipeline runs
-/// one job per module while the program analyzer stays sequential. This harness sweeps 1/2/4/8 worker threads over
-/// the bench/programs corpus, prints the end-to-end speedup per thread
-/// count, and verifies that every thread count produced byte-identical
-/// objects and program database (the determinism contract).
+/// one job per module while the program analyzer stays sequential. This
+/// harness sweeps 1/2/4/8 worker threads over the bench/programs corpus,
+/// prints the end-to-end speedup per thread count, and verifies that
+/// every thread count produced byte-identical objects and program
+/// database (the determinism contract).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -104,8 +104,6 @@
 ///                                "andersen" (per-module Andersen only),
 ///                                or "off" (conservative paper
 ///                                behaviour; summaries carry no facts)
-///   --no-points-to               deprecated alias for --points-to=off
-///                                (prints a one-line warning)
 ///   --modref=on|off              whole-program mod/ref & constancy
 ///                                analysis (default on): read-only
 ///                                promoted globals skip the exit-sync
@@ -320,11 +318,6 @@ int main(int argc, char **argv) {
                      Arg.substr(12).c_str());
         return usage();
       }
-    } else if (Arg == "--no-points-to") {
-      // Deprecated alias from before the analysis grew modes.
-      std::fprintf(stderr, "mcc: warning: --no-points-to is deprecated; "
-                           "use --points-to=off\n");
-      PointsTo = PointsToMode::Off;
     } else if (Arg.rfind("--modref=", 0) == 0) {
       std::string Val = Arg.substr(9);
       if (Val == "on")
@@ -340,6 +333,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--verify-ipra") {
       VerifyIPRA = true;
     } else if (Arg.size() > 1 && Arg[0] == '-') {
+      std::fprintf(stderr, "mcc: unknown option '%s'\n", Arg.c_str());
       return usage();
     } else {
       InputPaths.push_back(Arg);

@@ -520,6 +520,18 @@ bool collectFailures(const UnitsT &Units, const ArtifactsT &Artifacts,
   return true;
 }
 
+/// Counts one kernel's cache hit or miss into a phase's counters.
+template <typename ArtifactT>
+void countCacheUse(const ArtifactT &A, unsigned &Hits, unsigned &Misses,
+                   size_t &BytesSaved) {
+  if (A.FromCache) {
+    ++Hits;
+    BytesSaved += A.Text.size();
+  } else {
+    ++Misses;
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -564,12 +576,8 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
         return Result;
       for (size_t I = 0; I < NumModules; ++I) {
         SummaryArtifact &A = Artifacts[I];
-        if (A.FromCache) {
-          ++PS.Phase1CacheHits;
-          PS.CacheBytesSaved += A.Text.size();
-        } else {
-          ++PS.Phase1CacheMisses;
-        }
+        countCacheUse(A, PS.Phase1CacheHits, PS.Phase1CacheMisses,
+                      PS.CacheBytesSaved);
         PS.PointsToConstraints += A.PointsTo.Constraints;
         PS.PointsToIterations += A.PointsTo.Iterations;
         PS.GPGUpdates += A.GPG.Updates;
@@ -670,12 +678,8 @@ BuildResult Pipeline::buildImpl(const std::vector<SourceFile> &Sources,
       return Result;
     for (size_t I = 0; I < NumModules; ++I) {
       ObjectArtifact &A = Artifacts[I];
-      if (A.FromCache) {
-        ++PS.Phase2CacheHits;
-        PS.CacheBytesSaved += A.Text.size();
-      } else {
-        ++PS.Phase2CacheMisses;
-      }
+      countCacheUse(A, PS.Phase2CacheHits, PS.Phase2CacheMisses,
+                    PS.CacheBytesSaved);
       ModulePipelineStats &MS = PS.Modules[I];
       MS.Functions = static_cast<unsigned>(A.Object.Functions.size());
       MS.ObjectBytes = A.Text.size();
@@ -713,24 +717,19 @@ Status Pipeline::executeSummary(const BuildRequest &Req,
                                 BuildResponse &Resp) {
   ScopedTimerMs Total(Resp.Stats.TotalMs);
   ScopedTimerMs Timer(Resp.Stats.Phase1Ms);
-  bool AllCached = !Req.Modules.empty();
+  PipelineStats &PS = Resp.Stats;
   for (const SourceFile &Source : Req.Modules) {
     ModuleUnit M(Source);
     ModulePipelineStats MS;
     SummaryArtifact A = summaryKernel(M, MS);
     if (!A.ok())
       return std::move(static_cast<Status &>(A));
-    if (A.FromCache) {
-      ++Resp.Stats.Phase1CacheHits;
-      Resp.Stats.CacheBytesSaved += A.Text.size();
-    } else {
-      ++Resp.Stats.Phase1CacheMisses;
-      AllCached = false;
-    }
-    Resp.Stats.SummaryBytes += A.Text.size();
+    countCacheUse(A, PS.Phase1CacheHits, PS.Phase1CacheMisses,
+                  PS.CacheBytesSaved);
+    PS.SummaryBytes += A.Text.size();
     Resp.Summaries.push_back(std::move(A.Text));
   }
-  Resp.FromCache = AllCached;
+  Resp.FromCache = !Req.Modules.empty() && PS.Phase1CacheMisses == 0;
   return Status::success();
 }
 
@@ -751,7 +750,7 @@ Status Pipeline::executeObject(const BuildRequest &Req,
           DB.ConfigFingerprint + ", expected " + FullFP +
           "); re-run the analyzer with matching options");
   }
-  bool AllCached = !Req.Modules.empty();
+  PipelineStats &PS = Resp.Stats;
   for (const SourceFile &Source : Req.Modules) {
     // A standalone request has no summary to compute the precise
     // database slice from; the whole database text stands in.
@@ -761,17 +760,12 @@ Status Pipeline::executeObject(const BuildRequest &Req,
         objectKernel(M, HaveDB ? &DB : nullptr, Req.Database, MS);
     if (!A.ok())
       return std::move(static_cast<Status &>(A));
-    if (A.FromCache) {
-      ++Resp.Stats.Phase2CacheHits;
-      Resp.Stats.CacheBytesSaved += A.Text.size();
-    } else {
-      ++Resp.Stats.Phase2CacheMisses;
-      AllCached = false;
-    }
-    Resp.Stats.ObjectBytes += A.Text.size();
+    countCacheUse(A, PS.Phase2CacheHits, PS.Phase2CacheMisses,
+                  PS.CacheBytesSaved);
+    PS.ObjectBytes += A.Text.size();
     Resp.Objects.push_back(std::move(A.Text));
   }
-  Resp.FromCache = AllCached;
+  Resp.FromCache = !Req.Modules.empty() && PS.Phase2CacheMisses == 0;
   return Status::success();
 }
 
@@ -798,22 +792,17 @@ Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
   std::vector<SourceFile> AllSources = Req.Modules;
   AllSources.push_back(SourceFile{"__runtime.mc", runtimeModuleSource()});
   std::vector<ModuleSummary> Summaries;
-  bool AllCached = true;
+  PipelineStats &PS = Resp.Stats;
   {
-    ScopedTimerMs Timer(Resp.Stats.Phase1Ms);
+    ScopedTimerMs Timer(PS.Phase1Ms);
     for (const SourceFile &Source : AllSources) {
       ModuleUnit M(Source);
       ModulePipelineStats MS;
       SummaryArtifact A = summaryKernel(M, MS);
       if (!A.ok())
         return std::move(static_cast<Status &>(A));
-      if (A.FromCache) {
-        ++Resp.Stats.Phase1CacheHits;
-        Resp.Stats.CacheBytesSaved += A.Text.size();
-      } else {
-        ++Resp.Stats.Phase1CacheMisses;
-        AllCached = false;
-      }
+      countCacheUse(A, PS.Phase1CacheHits, PS.Phase1CacheMisses,
+                    PS.CacheBytesSaved);
       Summaries.push_back(std::move(A.Summary));
     }
   }
@@ -828,7 +817,7 @@ Status Pipeline::executeLint(const BuildRequest &Req, BuildResponse &Resp) {
     Resp.Lints.push_back(D.render());
     Resp.LintsJson.push_back(D.renderJson());
   }
-  Resp.FromCache = AllCached;
+  Resp.FromCache = PS.Phase1CacheMisses == 0;
   return Status::success();
 }
 

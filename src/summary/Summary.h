@@ -67,7 +67,7 @@ struct CallSummary {
 /// Which points-to analysis the pipeline runs (mcc --points-to=MODE).
 enum class PointsToMode : uint8_t {
   /// No analysis: summaries carry conservative defaults (the paper's
-  /// behaviour; `--no-points-to` is a deprecated alias).
+  /// behaviour).
   Off = 0,
   /// The flow- and context-insensitive Andersen-style per-module pass.
   Andersen = 1,

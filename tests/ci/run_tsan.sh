@@ -1,9 +1,12 @@
 #!/bin/sh
 # Builds the whole tree under ThreadSanitizer (the "tsan" CMake preset)
-# and runs the concurrency-heavy build-service suite under it: the
-# daemon/protocol/session tests, the artifact-cache disk-write race
-# regression, and the smoke-sized concurrent rebuild-storm bench
-# (everything carrying the "service" ctest label).
+# and runs the concurrency-heavy suites under it: the build service
+# (daemon/protocol/session tests, the artifact-cache disk-write race
+# regression and the smoke-sized concurrent rebuild-storm bench: the
+# "service" ctest label), the incremental pipeline ("incremental"
+# label), and the multi-threaded builds of ParallelPipelineTest, whose
+# per-module phase jobs run concurrently against one artifact cache,
+# one program database and the per-module stats slots.
 #
 # Usage: tests/ci/run_tsan.sh [jobs]
 set -eu
@@ -14,4 +17,6 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 cmake --preset tsan -S "$ROOT"
 cmake --build --preset tsan -j "$JOBS"
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-      -L service
+      -L 'service|incremental'
+ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
+      -R '^ParallelPipelineTest\.'

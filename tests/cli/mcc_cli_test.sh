@@ -94,25 +94,25 @@ grep -q "points-to: constraints=" stats1.txt \
 
 # Disabling points-to still compiles and runs to the same program
 # output (the facts only sharpen allocation, never change semantics).
-# The spelling is a deprecated alias and must say so exactly once on
-# stderr, pointing at the replacement.
-NOPT="$("$MCC" --no-points-to --config C lib.mc main.mc 2> nopt.txt)"
-if [ "$FUSED" != "$NOPT" ]; then
-  echo "--no-points-to changed program output: $NOPT" >&2
+PTOFF="$("$MCC" --points-to=off --config C lib.mc main.mc 2> ptoff.txt)"
+if [ "$FUSED" != "$PTOFF" ]; then
+  echo "--points-to=off changed program output: $PTOFF" >&2
   exit 1
 fi
-WARNS="$(grep -c "deprecated" nopt.txt)" || true
-if [ "$WARNS" != "1" ]; then
-  echo "expected exactly one deprecation warning, got $WARNS:" >&2
-  cat nopt.txt >&2
-  exit 1
+if [ -s ptoff.txt ]; then
+  echo "--points-to=off must not warn:" >&2; cat ptoff.txt >&2; exit 1
 fi
-grep -q -- "--no-points-to is deprecated; use --points-to=off" nopt.txt \
-  || { echo "wrong deprecation text" >&2; cat nopt.txt >&2; exit 1; }
-"$MCC" --points-to=off --config C lib.mc main.mc 2> ptoff.txt > /dev/null
-if grep -q "deprecated" ptoff.txt; then
-  echo "--points-to=off must not warn" >&2; exit 1
+# The retired --no-points-to alias is an unknown option now: a usage
+# error naming it, not a silent mode switch.
+set +e
+"$MCC" --no-points-to --config C lib.mc main.mc > /dev/null 2> nopt.txt
+RC=$?
+set -e
+if [ "$RC" != "2" ]; then
+  echo "--no-points-to: expected usage exit 2, got $RC" >&2; exit 1
 fi
+grep -q -- "unknown option '--no-points-to'" nopt.txt \
+  || { echo "--no-points-to not reported" >&2; cat nopt.txt >&2; exit 1; }
 
 # Mod/ref analysis off is accepted; its verdict records leave the db.
 MROFF="$("$MCC" --modref=off --config C lib.mc main.mc)"

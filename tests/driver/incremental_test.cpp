@@ -579,9 +579,8 @@ TEST(IncrementalTest, SummaryDiffFlagsModRefOnlyEdits) {
 // The database's modref records round-trip byte-for-byte and stay out
 // of every module slice (verdict churn must never force a recompile).
 TEST(IncrementalTest, DatabaseModRefRecordsRoundTripOutsideSlices) {
-  SummaryResult P1 = Pipeline(PipelineConfig::configC())
-                         .compileSummary({"m.mc", "int g_ro = 7;\n"
-                                                  "int main() { return g_ro; }\n"});
+  SourceFile Src{"m.mc", "int g_ro = 7;\nint main() { return g_ro; }\n"};
+  SummaryResult P1 = Pipeline(PipelineConfig::configC()).compileSummary(Src);
   ASSERT_TRUE(P1.ok()) << P1.text();
   DatabaseResult A =
       Pipeline(PipelineConfig::configC()).analyze({P1.SummaryText});
@@ -669,9 +668,8 @@ TEST(IncrementalTest, HeaderlessLegacyArtifactsStillParse) {
 }
 
 TEST(IncrementalTest, AnalyzerRejectsSummariesFromOtherCompilerConfig) {
-  SummaryResult P1 =
-      Pipeline(PipelineConfig::configC())
-          .compileSummary({"m.mc", "int g;\nint main() { g = 1; return g; }\n"});
+  SourceFile Src{"m.mc", "int g;\nint main() { g = 1; return g; }\n"};
+  SummaryResult P1 = Pipeline(PipelineConfig::configC()).compileSummary(Src);
   ASSERT_TRUE(P1.ok()) << P1.text();
 
   // Flip a compile-side knob: the stamped fingerprint no longer

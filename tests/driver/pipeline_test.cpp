@@ -299,15 +299,17 @@ TEST(PipelineTest, CompileErrorsAreReported) {
 TEST(PipelineTest, LinkErrorUndefinedFunction) {
   BuildResult R = Pipeline(PipelineConfig::baseline())
                        .build({{"main.mc", "int missing(int);\n"
-                                           "int main() { return missing(1); }\n"}});
+                                           "int main() {\n"
+                                           "  return missing(1);\n"
+                                           "}\n"}});
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.text().find("missing"), std::string::npos);
 }
 
 TEST(PipelineTest, SummaryAndDatabaseArtifactsProduced) {
-  BuildResult R = Pipeline(PipelineConfig::configC())
-                       .build({{"main.mc", "int g;\n"
-                                           "int main() { g = 1; return g; }\n"}});
+  BuildResult R =
+      Pipeline(PipelineConfig::configC())
+          .build({{"main.mc", "int g;\nint main() { g = 1; return g; }\n"}});
   ASSERT_TRUE(R.ok()) << R.text();
   EXPECT_EQ(R.SummaryFiles.size(), 2u); // main.mc + runtime.
   EXPECT_NE(R.DatabaseFile.find("proc main"), std::string::npos);
